@@ -42,13 +42,12 @@ from .mchain import (
     uniformize,
 )
 from .models import counterexample, random_chain, random_ncd
-from .orthonorm import CGSIR, OrthMethod, parse_method
+from .orthonorm import CGSIR, VARIANTS, OrthMethod, parse_method
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-METHOD_CHOICES = ("cgs", "mgs", "cgs2", "mgs2", "cgsir", "mgsir")
 POLICY_CHOICES = ("never", "cond", "always")
 
 
@@ -178,8 +177,15 @@ class RunConfig:
 
 def _workers(njobs: int) -> int:
     cap = os.environ.get("ARNAGG_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(njobs, limit))
+    if not cap:
+        return max(1, min(njobs, os.cpu_count() or 1))
+    try:
+        limit = int(cap)
+    except ValueError:
+        raise InputError(f"ARNAGG_THREADS must be an integer, got {cap!r}") from None
+    if limit < 1:
+        raise InputError(f"ARNAGG_THREADS must be >= 1, got {limit}")
+    return min(njobs, limit)
 
 
 def _sample_paths(out: str, samples: int) -> list[str]:
@@ -401,7 +407,7 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gen", help="generator spec, e.g. ncd:blocks=3,block_size=10,epsilon=1e-4")
     p.add_argument("--p0", default="uniform",
                    help="start distribution: file:PATH | uniform | point:I | random")
-    p.add_argument("--method", default="cgsir", choices=METHOD_CHOICES)
+    p.add_argument("--method", default="cgsir", choices=VARIANTS)
     p.add_argument("--seed", type=int, default=0)
 
 

@@ -3,8 +3,9 @@
 Two families matter to callers: :class:`InputError` covers anything wrong
 with data handed to the library (bad matrices, shape mismatches, unparsable
 files) and maps to CLI exit code 2, while :class:`NumericalError` covers
-failures of the numerics themselves (QR iteration stalling, a stationary
-vector that refuses to be real) and maps to exit code 3.
+failures of the numerics themselves (an eigenvalue iteration that does
+not converge, a stationary vector that refuses to be real) and maps to
+exit code 3.
 """
 
 
@@ -99,9 +100,10 @@ class MissingStationary(InputError):
 
 
 class NoConvergence(NumericalError):
-    def __init__(self, max_sweeps):
-        self.max_sweeps = max_sweeps
-        super().__init__(f"QR iteration failed to deflate within {max_sweeps} sweeps")
+    """LAPACK's eigenvalue or Schur iteration failed to converge."""
+
+    def __init__(self, detail):
+        super().__init__(f"eigenvalue computation did not converge ({detail})")
 
 
 class ComplexStationary(NumericalError):

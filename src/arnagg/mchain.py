@@ -130,9 +130,9 @@ class _MatrixBase:
 class StochasticMatrix(_MatrixBase):
     """Row-stochastic transition matrix, dense or CSR.
 
-    Construction validates that every entry is >= -tol (entries in
-    ``(-tol, 0)`` are clamped to 0 afterwards) and that every row sums to
-    1 within ``tol``.
+    Construction validates that every entry is finite and >= -tol (entries
+    in ``(-tol, 0)`` are clamped to 0 afterwards) and that every row sums
+    to 1 within ``tol``.
     """
 
     def __init__(self, m, tol: float = STOCHASTIC_TOL):
@@ -141,6 +141,7 @@ class StochasticMatrix(_MatrixBase):
             m = np.array(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"transition matrix must be square, got {m.shape}")
+        _validate_entries_finite(m)
         _validate_entries_nonnegative(m, tol)
         sums = np.asarray(m.sum(axis=1)).ravel()
         bad = np.nonzero(np.abs(sums - 1.0) > tol)[0]
@@ -151,7 +152,7 @@ class StochasticMatrix(_MatrixBase):
 
 
 class GeneratorMatrix(_MatrixBase):
-    """CTMC rate matrix: nonnegative off-diagonal, zero row sums."""
+    """CTMC rate matrix: finite entries, nonnegative off-diagonal, zero row sums."""
 
     def __init__(self, m, tol: float = GENERATOR_TOL):
         m = _unwrap(m)
@@ -159,6 +160,7 @@ class GeneratorMatrix(_MatrixBase):
             m = np.array(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"generator matrix must be square, got {m.shape}")
+        _validate_entries_finite(m)
         dense = m.toarray() if _is_sparse(m) else m
         off = dense.copy()
         np.fill_diagonal(off, 0.0)
@@ -175,6 +177,19 @@ class GeneratorMatrix(_MatrixBase):
     def max_diag_magnitude(self) -> float:
         d = self._m.diagonal() if self.is_sparse else np.diagonal(self._m)
         return float(np.max(np.abs(d))) if d.size else 0.0
+
+
+def _validate_entries_finite(m):
+    if np.isfinite(m.data if _is_sparse(m) else m).all():
+        return
+    if _is_sparse(m):
+        coo = m.tocoo()
+        k = int(np.argmin(np.isfinite(coo.data)))
+        r, c, x = coo.row[k], coo.col[k], coo.data[k]
+    else:
+        r, c = np.unravel_index(int(np.argmin(np.isfinite(m))), m.shape)
+        x = m[r, c]
+    raise InputError(f"entry ({r}, {c}) is {float(x)!r}, not finite")
 
 
 def _validate_entries_nonnegative(m, tol):
@@ -206,9 +221,9 @@ def _clamp_small_negatives(m, tol):
 class Distribution:
     """Probability mass per state, or an approximation of one.
 
-    With ``strict=True`` the entries must be >= -1e-12 and sum to 1 within
-    1e-10.  Approximated transient distributions live in the same type with
-    ``strict`` off; they may carry negative entries.
+    With ``strict=True`` the entries must be finite, >= -1e-12 and sum to 1
+    within 1e-10.  Approximated transient distributions live in the same
+    type with ``strict`` off; they may carry negative entries.
     """
 
     values: np.ndarray
@@ -222,6 +237,8 @@ class Distribution:
         if self.strict:
             if v.size == 0:
                 raise InputError("empty distribution")
+            if not np.isfinite(v).all():
+                raise InputError("strict distribution has non-finite entries")
             if v.min() < -1e-12:
                 raise InputError(f"strict distribution has entry {v.min()!r} < -1e-12")
             s = float(v.sum())
@@ -272,6 +289,8 @@ def uniformize(q: GeneratorMatrix, gamma: float | None = None) -> StochasticMatr
     required = q.max_diag_magnitude
     if gamma is None:
         gamma = required if required > 0.0 else 1.0
+    elif not np.isfinite(gamma):
+        raise InputError(f"gamma must be finite, got {gamma!r}")
     elif gamma < required or gamma <= 0.0:
         raise GammaTooSmall(gamma, required)
     if q.is_sparse:

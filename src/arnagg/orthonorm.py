@@ -24,7 +24,7 @@ DEFAULT_KAPPA = 1.0 / math.sqrt(2.0)
 # textbook algorithm never fires in floating point.
 RANK_TOL = 1e-13
 
-_VARIANTS = ("cgs", "mgs", "cgs2", "mgs2", "cgsir", "mgsir")
+VARIANTS = ("cgs", "mgs", "cgs2", "mgs2", "cgsir", "mgsir")
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class OrthMethod:
     kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if self.variant not in VARIANTS:
             raise InputError(f"unknown orthogonalization variant {self.variant!r}")
         if not 0.0 < self.kappa < 1.0:
             raise InputError(f"kappa must be in (0, 1), got {self.kappa!r}")

@@ -1,9 +1,9 @@
 """QR factorization, sorted complex Schur forms, and stationary extraction.
 
-The Schur path works internally in complex arithmetic with an explicit
-single-shift (Wilkinson) QR iteration on the Hessenberg form, deflating
-converged subdiagonal entries.  That sidesteps the 2x2 blocks of a real
-Schur form entirely.  Conventions:
+The numerics are LAPACK's: Householder QR for :func:`qr_decompose`, the
+complex Schur form (Hessenberg reduction plus shifted QR iteration) and
+``ztrexc`` reordering for :func:`schur_decompose`, and the general
+eigensolver ``geev`` for :func:`aggregated_stationary`.  Conventions:
 
 * ``M = U @ T @ U^H`` with unitary ``U`` (columns are Schur vectors) and
   upper-triangular ``T``.
@@ -11,13 +11,13 @@ Schur form entirely.  Conventions:
   ascending imaginary magnitude, realized through unitary adjacent swaps,
   so sorting never changes the eigenvalue multiset.
 * Stationary vectors of a step matrix are its left eigenvectors; they are
-  read as right eigenvectors of the transposed matrix so one Schur kernel
-  serves both orientations.
+  read as right eigenvectors of the transposed matrix.  For a real
+  eigenvalue of a real matrix LAPACK returns a real eigenvector, so no
+  rounding-level imaginary mass enters the stationary vector.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +32,8 @@ from .errors import (
 )
 from .orthonorm import RANK_TOL
 
-DEFLATION_TOL = 1e-12
-MAX_SWEEPS_PER_STATE = 30
-
-# Imaginary mass below this is rounding noise and silently dropped; above
-# the error threshold the stationary vector is genuinely complex.
-IMAG_DROP_TOL = 1e-10
+# Imaginary mass left after phase alignment is rounding noise up to this
+# threshold and dropped; above it the stationary vector is genuinely complex.
 IMAG_ERROR_TOL = 1e-8
 
 
@@ -66,10 +62,11 @@ class SchurDecomposition:
 
 
 def qr_decompose(m) -> QRPair:
-    """QR factorization by twice-iterated Gram-Schmidt on the columns.
+    """Reduced QR factorization with a real, nonnegative diagonal of R.
 
-    The diagonal of R is real and nonnegative.  Raises RankDeficient(col)
-    when a column is numerically dependent on its predecessors.
+    Raises RankDeficient(col) when a column is numerically dependent on its
+    predecessors, i.e. its component orthogonal to them is at most
+    ``RANK_TOL`` times its norm.
     """
     a = np.asarray(m)
     if a.ndim != 2:
@@ -77,144 +74,32 @@ def qr_decompose(m) -> QRPair:
     n, k = a.shape
     if n < k:
         raise ShapeError(f"need at least as many rows as columns, got {a.shape}")
-    complex_input = np.iscomplexobj(a)
-    a = a.astype(complex)
-    q = np.zeros((n, k), dtype=complex)
-    r = np.zeros((k, k), dtype=complex)
-    for j in range(k):
-        c = a[:, j].copy()
-        cn = float(np.linalg.norm(c))
-        basis = q[:, :j]
-        h = basis.conj().T @ c
-        c -= basis @ h
-        h2 = basis.conj().T @ c
-        c -= basis @ h2
-        rn = float(np.linalg.norm(c))
-        if rn <= RANK_TOL * cn:
-            raise RankDeficient(j)
-        r[:j, j] = h + h2
-        r[j, j] = rn
-        q[:, j] = c / rn
-    if not complex_input:
-        return QRPair(q.real.copy(), r.real.copy())
+    a = a.astype(complex if np.iscomplexobj(a) else float)
+    q, r = np.linalg.qr(a)
+    d = np.abs(np.diagonal(r))
+    bad = np.nonzero(d <= RANK_TOL * np.linalg.norm(a, axis=0))[0]
+    if bad.size:
+        raise RankDeficient(int(bad[0]))
+    phase = np.diagonal(r) / d
+    q = q * phase
+    r = phase.conj()[:, None] * r
+    np.fill_diagonal(r, d)
     return QRPair(q, r)
 
 
-def _givens(a: complex, b: complex):
-    """Coefficients (ca, cb) of a unitary rotation zeroing b below a."""
-    nb = abs(b)
-    if nb == 0.0:
-        return 1.0 + 0.0j, 0.0 + 0.0j
-    nu = math.hypot(abs(a), nb)
-    return np.conj(a) / nu, np.conj(b) / nu
+def _closest_to_one(evs) -> int:
+    """Index of the eigenvalue whose real part is closest to one.
+
+    Ties on the real part go to the smaller imaginary magnitude, then to the
+    lower index.
+    """
+    return min(range(len(evs)), key=lambda i: (abs(evs[i].real - 1.0), abs(evs[i].imag), i))
 
 
-def _is_hessenberg(a: np.ndarray) -> bool:
-    n = a.shape[0]
-    if n <= 2:
-        return True
-    return not np.tril(a, -2).any()
-
-
-def _hessenberg_reduce(a: np.ndarray):
-    """Householder reduction to upper Hessenberg form, A = U H U^H."""
-    n = a.shape[0]
-    u = np.eye(n, dtype=complex)
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        xn = float(np.linalg.norm(x))
-        if xn == 0.0 or float(np.linalg.norm(x[1:])) == 0.0:
-            continue
-        alpha = -np.exp(1j * np.angle(x[0])) * xn
-        v = x.copy()
-        v[0] -= alpha
-        v /= np.linalg.norm(v)
-        a[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ a[k + 1:, k:])
-        a[:, k + 1:] -= 2.0 * np.outer(a[:, k + 1:] @ v, v.conj())
-        u[:, k + 1:] -= 2.0 * np.outer(u[:, k + 1:] @ v, v.conj())
-        a[k + 1, k] = alpha
-        a[k + 2:, k] = 0.0
-    return a, u
-
-
-def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
-    a = h[hi - 1, hi - 1]
-    b = h[hi - 1, hi]
-    c = h[hi, hi - 1]
-    d = h[hi, hi]
-    mid = 0.5 * (a + d)
-    disc = np.sqrt((0.5 * (a - d)) ** 2 + b * c)
-    lam1, lam2 = mid + disc, mid - disc
-    return lam1 if abs(lam1 - d) <= abs(lam2 - d) else lam2
-
-
-def _qr_step(h: np.ndarray, u: np.ndarray, lo: int, hi: int, mu: complex) -> None:
-    """One explicit shifted QR step on the active window [lo, hi]."""
-    diag = np.arange(lo, hi + 1)
-    h[diag, diag] -= mu
-    rots = []
-    for i in range(lo, hi):
-        ca, cb = _givens(h[i, i], h[i + 1, i])
-        rots.append((ca, cb))
-        r0 = h[i, i:].copy()
-        r1 = h[i + 1, i:]
-        h[i, i:] = ca * r0 + cb * r1
-        h[i + 1, i:] = -np.conj(cb) * r0 + np.conj(ca) * r1
-        h[i + 1, i] = 0.0
-    for k, (ca, cb) in enumerate(rots):
-        i = lo + k
-        top = i + 2
-        c0 = h[:top, i].copy()
-        c1 = h[:top, i + 1]
-        h[:top, i] = np.conj(ca) * c0 + np.conj(cb) * c1
-        h[:top, i + 1] = -cb * c0 + ca * c1
-        u0 = u[:, i].copy()
-        u1 = u[:, i + 1]
-        u[:, i] = np.conj(ca) * u0 + np.conj(cb) * u1
-        u[:, i + 1] = -cb * u0 + ca * u1
-    h[diag, diag] += mu
-
-
-def _swap_adjacent(t: np.ndarray, u: np.ndarray, p: int) -> None:
-    """Unitarily exchange the eigenvalues at diagonal positions p, p+1."""
-    a = t[p, p]
-    b = t[p + 1, p + 1]
-    x = t[p, p + 1]
-    v = np.array([x, b - a], dtype=complex)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return  # equal eigenvalues in a diagonal block: swap is the identity
-    v /= nv
-    g = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]], dtype=complex)
-    rows = [p, p + 1]
-    t[rows, :] = g.conj().T @ t[rows, :]
-    t[:, rows] = t[:, rows] @ g
-    u[:, rows] = u[:, rows] @ g
-    t[p + 1, p] = 0.0
-    t[p, p] = b
-    t[p + 1, p + 1] = a
-
-
-def _sort_eigenvalues(t: np.ndarray, u: np.ndarray) -> None:
-    n = t.shape[0]
-    eigs = np.diag(t).copy()
-    order = sorted(range(n), key=lambda i: (-eigs[i].real, abs(eigs[i].imag), i))
-    perm = list(range(n))
-    for target, orig in enumerate(order):
-        cur = perm.index(orig)
-        for p in range(cur - 1, target - 1, -1):
-            _swap_adjacent(t, u, p)
-            perm[p], perm[p + 1] = perm[p + 1], perm[p]
-
-
-def schur_decompose(m, max_sweeps: int | None = None,
-                    tol: float = DEFLATION_TOL) -> SchurDecomposition:
+def schur_decompose(m) -> SchurDecomposition:
     """Sorted complex Schur decomposition ``M = U @ T @ U^H``.
 
-    General input is first reduced to Hessenberg form; Hessenberg input
-    (for instance a transposed aggregated step matrix) skips the reduction.
-    A subdiagonal entry deflates once it falls below ``tol`` times the sum
-    of the magnitudes of its neighbouring diagonal entries.
+    Raises NoConvergence when LAPACK's QR iteration fails.
     """
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -222,50 +107,23 @@ def schur_decompose(m, max_sweeps: int | None = None,
     n = a.shape[0]
     if n == 0:
         raise ShapeError("empty matrix")
-    if max_sweeps is None:
-        max_sweeps = MAX_SWEEPS_PER_STATE * n
-    h = a.astype(complex)  # astype always copies here
-    if _is_hessenberg(h):
-        u = np.eye(n, dtype=complex)
-    else:
-        h, u = _hessenberg_reduce(h)
-    hnorm = float(np.max(np.abs(h))) if h.size else 0.0
-    sweeps = 0
-    stagnation = 0
-    hi = n - 1
-    while hi > 0:
-        sub = abs(h[hi, hi - 1])
-        thresh = tol * (abs(h[hi - 1, hi - 1]) + abs(h[hi, hi]))
-        if thresh == 0.0:
-            thresh = tol * hnorm
-        if sub <= thresh:
-            h[hi, hi - 1] = 0.0
-            hi -= 1
-            stagnation = 0
-            continue
-        lo = hi
-        while lo > 0:
-            sub = abs(h[lo, lo - 1])
-            thresh = tol * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo]))
-            if thresh == 0.0:
-                thresh = tol * hnorm
-            if sub <= thresh:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if sweeps >= max_sweeps:
-            raise NoConvergence(max_sweeps)
-        sweeps += 1
-        stagnation += 1
-        if stagnation % 12 == 0:
-            mu = h[hi, hi] + abs(h[hi, hi - 1])
-        else:
-            mu = _wilkinson_shift(h, hi)
-        _qr_step(h, u, lo, hi, mu)
-    if n > 1:
-        h[np.tril_indices(n, -1)] = 0.0
-    _sort_eigenvalues(h, u)
-    return SchurDecomposition(u, h)
+    # Imported here: scipy.linalg costs about 8 MB of RSS the pipelines never use.
+    import scipy.linalg
+    from scipy.linalg.lapack import ztrexc
+
+    try:
+        t, u = scipy.linalg.schur(a.astype(complex), output="complex")
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"complex Schur form: {exc}") from exc
+    evs = np.diag(t)
+    order = sorted(range(n), key=lambda i: (-evs[i].real, abs(evs[i].imag), i))
+    perm = list(range(n))
+    for target, orig in enumerate(order):
+        cur = perm.index(orig)
+        if cur != target:
+            t, u, _ = ztrexc(t, u, cur + 1, target + 1)
+            perm.insert(target, perm.pop(cur))
+    return SchurDecomposition(u, t)
 
 
 def leading_eigvec(s: SchurDecomposition):
@@ -278,9 +136,8 @@ def leading_eigvec(s: SchurDecomposition):
     by triangular back-substitution.
     """
     t, u = s.triangular, s.unitary
-    evs = np.diag(t)
-    idx = min(range(len(evs)), key=lambda i: (abs(evs[i].real - 1.0), abs(evs[i].imag), i))
-    lam = complex(evs[idx])
+    idx = _closest_to_one(np.diag(t))
+    lam = complex(t[idx, idx])
     if idx == 0:
         return lam, u[:, 0].copy()
     k = idx
@@ -296,16 +153,19 @@ def leading_eigvec(s: SchurDecomposition):
     return lam, v / np.linalg.norm(v)
 
 
-def aggregated_stationary(agg: Aggregation, max_sweeps: int | None = None,
-                          tol: float = DEFLATION_TOL) -> Aggregation:
+def aggregated_stationary(agg: Aggregation) -> Aggregation:
     """Attach the aggregated stationary vector to an aggregation.
 
-    The stationary vector is a left eigenvector of the step matrix, read
-    off the Schur form of its transpose, phase-aligned, cast to real, and
-    scaled so its disaggregated image has unit 1-norm.
+    The stationary vector is a left eigenvector of the step matrix, taken
+    from the eigenpairs of its transpose with the selection rule of
+    :func:`leading_eigvec`, phase-aligned, cast to real, and scaled so its
+    disaggregated image has unit 1-norm.
     """
-    s = schur_decompose(agg.step_matrix.T, max_sweeps=max_sweeps, tol=tol)
-    _, v = leading_eigvec(s)
+    try:
+        evs, vecs = np.linalg.eig(agg.step_matrix.T)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalue iteration: {exc}") from exc
+    v = vecs[:, _closest_to_one(evs)]
     j = int(np.argmax(np.abs(v)))
     v = v * np.conj(v[j] / abs(v[j]))
     imag = float(np.max(np.abs(v.imag)))

@@ -79,6 +79,15 @@ class TestAggregate:
         assert code == 0
         assert "criterion=" in capsys.readouterr().out
 
+    def test_nan_entry_in_input_exits_2(self, tmp_path, capsys):
+        ppath = tmp_path / "p.mtx"
+        ppath.write_text("%%MatrixMarket matrix coordinate real general\n"
+                         "2 2 3\n1 1 nan\n1 2 1\n2 2 1\n")
+        assert run("aggregate", "--input", ppath, "--p0", "uniform", "--size", 2,
+                   "--out", tmp_path / "agg") == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("agg*"))
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise ComplexStationary(0.5)
@@ -154,6 +163,14 @@ class TestTrace:
         capped_mean = tmp_path / "capped_mean.csv"
         free_mean = tmp_path / "free_mean.csv"
         assert capped_mean.read_bytes() == free_mean.read_bytes()
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-2"])
+    def test_bad_thread_cap_exits_2(self, tmp_path, monkeypatch, capsys, cap):
+        monkeypatch.setenv("ARNAGG_THREADS", cap)
+        assert run("trace", "--gen", "random:n=10", "--p0", "random", "--size", 5,
+                   "--ks", "0..10", "--samples", 2, "--seed", 7,
+                   "--out", tmp_path / "x.csv") == 2
+        assert "ARNAGG_THREADS" in capsys.readouterr().err
 
     def test_descending_ks_rejected(self, tmp_path):
         assert run("trace", "--gen", "random:n=8", "--p0", "uniform", "--size", 2,

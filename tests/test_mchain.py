@@ -65,6 +65,13 @@ class TestValidateStochastic:
         with pytest.raises(ShapeError):
             validate_stochastic(np.ones((2, 3)) / 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        m = np.array([[0.5, 0.5], [bad, 1.0]])
+        for storage in (m, sp.csr_array(m)):
+            with pytest.raises(InputError, match=r"entry \(1, 0\)"):
+                validate_stochastic(storage)
+
     def test_sparse_input_validated_and_kept_sparse(self):
         p = sp.csr_array(np.array([[0.5, 0.5], [1.0, 0.0]]))
         m = validate_stochastic(p)
@@ -93,6 +100,12 @@ class TestUniformize:
         with pytest.raises(GammaTooSmall):
             uniformize(q, gamma=0.5)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        q = validate_generator(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        with pytest.raises(InputError, match="finite"):
+            uniformize(q, gamma=gamma)
+
     def test_sparse_generator(self):
         q = validate_generator(sp.csr_array(np.array([[-2.0, 2.0], [0.0, 0.0]])))
         p = uniformize(q)
@@ -117,6 +130,12 @@ class TestValidateGenerator:
         with pytest.raises(GeneratorRowSumViolation) as err:
             validate_generator(np.array([[-1.0, 2.0], [0.0, 0.0]]))
         assert err.value.row == 0
+
+    def test_non_finite_entry_rejected(self):
+        q = np.array([[-1.0, 1.0], [np.nan, 0.0]])
+        for storage in (q, sp.csr_array(q)):
+            with pytest.raises(InputError, match="not finite"):
+                validate_generator(storage)
 
 
 class TestTransient:
@@ -291,6 +310,11 @@ class TestDistribution:
         with pytest.raises(InputError):
             Distribution(np.array([1.5, -0.5]))
         Distribution(np.array([1.5, -0.5]), strict=False)
+
+    def test_strict_rejects_non_finite(self):
+        with pytest.raises(InputError, match="non-finite"):
+            Distribution(np.array([np.nan, 1.0]))
+        Distribution(np.array([np.nan, 1.0]), strict=False)
 
     def test_constructors(self):
         assert np.array_equal(Distribution.point(3, 1).values, [0.0, 1.0, 0.0])

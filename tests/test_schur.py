@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import arnagg
+from arnagg.aggregate import pipeline_dynamic
 from arnagg.arnoldi import Aggregation, arnoldi_iterate, build_aggregation
 from arnagg.errors import (
     ComplexStationary,
@@ -11,8 +18,10 @@ from arnagg.errors import (
     ShapeError,
 )
 from arnagg.mchain import Distribution, inf_norm
-from arnagg.models import counterexample, random_chain
+from arnagg.models import counterexample, random_chain, random_ncd
+from arnagg.orthonorm import CGS, CGS2, CGSIR, MGS, MGS2, MGSIR
 from arnagg.schur import (
+    IMAG_ERROR_TOL,
     aggregated_stationary,
     leading_eigvec,
     qr_decompose,
@@ -139,10 +148,18 @@ class TestSchurDecompose:
         with pytest.raises(ShapeError):
             schur_decompose(np.ones((2, 3)))
 
-    def test_no_convergence_when_budget_exhausted(self):
+    def test_no_convergence_when_lapack_fails(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "schur", fail)
+        monkeypatch.setattr(np.linalg, "eig", fail)
         m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         with pytest.raises(NoConvergence):
-            schur_decompose(m, max_sweeps=0)
+            schur_decompose(m)
+        agg = Aggregation(step_matrix=m, disaggregation=np.eye(3), initial=np.eye(3)[0])
+        with pytest.raises(NoConvergence):
+            aggregated_stationary(agg)
 
     def test_complex_input(self, rng):
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -233,3 +250,71 @@ class TestAggregatedStationary:
         )
         with pytest.raises(ComplexStationary):
             aggregated_stationary(agg)
+
+    def test_known_defect_chain_returns_its_stationary_vector(self):
+        # The Schur-vector path left 1.26e-8 of imaginary mass in this real
+        # eigenvector and raised ComplexStationary at every size.
+        p = random_ncd(6, 10, 1e-4, seed=[664729460, 7])
+        p0 = Distribution.random(p.n, seed=[664729460, 1, 19])
+        agg = pipeline_dynamic(p, p0, p.n, 1e-8, step_size=1)
+        assert agg.criterion <= 1e-8
+        image = agg.stationary @ agg.disaggregation
+        pd = p.toarray()
+        a = pd.T - np.eye(p.n)
+        a[-1, :] = 1.0
+        reference = np.linalg.solve(a, np.eye(p.n)[-1])
+        assert np.abs(image - reference).sum() <= 1e-3
+        assert np.abs(image @ pd - image).sum() <= 1e-7
+
+
+def schur_reference_image(agg):
+    """Stationary image read off the sorted Schur form, or None if complex."""
+    _, v = leading_eigvec(schur_decompose(agg.step_matrix.T))
+    j = int(np.argmax(np.abs(v)))
+    v = v * np.conj(v[j] / abs(v[j]))
+    if np.abs(v.imag).max() > IMAG_ERROR_TOL:
+        return None
+    image = v.real @ agg.disaggregation
+    if image.sum() < 0.0:
+        image = -image
+    return image / np.abs(image).sum()
+
+
+@pytest.mark.parametrize("method", [CGS, MGS, CGS2, MGS2, CGSIR, MGSIR],
+                         ids=lambda m: m.variant)
+def test_eigenpair_path_matches_schur_path(method):
+    models = [
+        counterexample(0.5),
+        (random_chain(20, 0.3, seed=5), Distribution.random(20, seed=6)),
+        (random_ncd(3, 5, 1e-3, seed=7), Distribution.random(15, seed=8)),
+        (random_ncd(4, 5, 1e-4, seed=9), Distribution.random(20, seed=10)),
+    ]
+    compared = 0
+    for p, p0 in models:
+        for j in range(1, p.n + 1):
+            agg = build_aggregation(arnoldi_iterate(p, p0, j, method=method), p0)
+            reference = schur_reference_image(agg)
+            if reference is None:
+                continue
+            out = aggregated_stationary(agg)
+            assert np.abs(out.stationary @ out.disaggregation - reference).sum() <= 1e-9
+            compared += 1
+    assert compared >= 40
+
+
+def test_pipelines_do_not_import_scipy_linalg():
+    code = (
+        "import sys\n"
+        "import arnagg, arnagg.cli\n"
+        "from arnagg import Distribution, pipeline_dynamic, pipeline_schur, random_ncd\n"
+        "p = random_ncd(2, 4, 1e-3, seed=1)\n"
+        "p0 = Distribution.uniform(p.n)\n"
+        "pipeline_dynamic(p, p0, p.n, 1e-8)\n"
+        "pipeline_schur(p, p0, 4)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(arnagg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
