@@ -85,11 +85,9 @@ from .orthonorm import (
     parse_method,
 )
 from .schur import (
-    QRPair,
     SchurDecomposition,
     aggregated_stationary,
     leading_eigvec,
-    qr_decompose,
     schur_decompose,
 )
 

@@ -159,8 +159,8 @@ class ErrorTrace:
 
     steps: np.ndarray
     errors: np.ndarray
-    bound_specific: np.ndarray | None
-    bound_general: np.ndarray | None
+    bound_specific: np.ndarray
+    bound_general: np.ndarray
     static_error: float
     criterion: float | None = None
     stationary_residual: float | None = None
@@ -175,14 +175,11 @@ class ErrorTrace:
 
 
 def format_trace_csv(trace: ErrorTrace) -> str:
-    def col(arr, i):
-        return FLOAT_FORMAT % arr[i] if arr is not None else "nan"
-
     lines = [TRACE_CSV_HEADER]
     for i, k in enumerate(trace.steps):
         lines.append(
             f"{int(k)},{FLOAT_FORMAT % trace.errors[i]},"
-            f"{col(trace.bound_specific, i)},{col(trace.bound_general, i)}"
+            f"{FLOAT_FORMAT % trace.bound_specific[i]},{FLOAT_FORMAT % trace.bound_general[i]}"
         )
     return "\n".join(lines) + "\n"
 
@@ -198,9 +195,7 @@ def _general_bound_factor(inf_step: float, k: int) -> float:
 
 
 def error_trace(p_mat: StochasticMatrix, p0, agg: Aggregation, ks,
-                policy: NormalizationPolicy = NEVER,
-                with_specific: bool = True,
-                with_general: bool = True) -> ErrorTrace:
+                policy: NormalizationPolicy = NEVER) -> ErrorTrace:
     """Walk chain and aggregation in lockstep, recording errors and bounds.
 
     ``ks`` must be ascending step counts.  The initial error feeding both
@@ -215,6 +210,8 @@ def error_trace(p_mat: StochasticMatrix, p0, agg: Aggregation, ks,
     p = as_vector(p0).copy()
     if p.shape[0] != p_mat.n or agg.n_states != p_mat.n:
         raise DimensionMismatch("chain, start vector, and aggregation disagree on n")
+    if not np.isfinite(p).all():
+        raise InputError("start vector has non-finite entries")
 
     a = agg.disaggregation
     step_m = agg.step_matrix
@@ -231,8 +228,8 @@ def error_trace(p_mat: StochasticMatrix, p0, agg: Aggregation, ks,
     abs_pi = np.empty_like(pi)
 
     errors = np.empty(len(ks))
-    specific = np.empty(len(ks)) if with_specific else None
-    general = np.empty(len(ks)) if with_general else None
+    specific = np.empty(len(ks))
+    general = np.empty(len(ks))
 
     accumulated = e0
     next_idx = 0
@@ -240,11 +237,9 @@ def error_trace(p_mat: StochasticMatrix, p0, agg: Aggregation, ks,
         if k == ks[next_idx]:
             approx = normalize(pi @ a, policy).values
             errors[next_idx] = float(np.abs(approx - p).sum())
-            if specific is not None:
-                specific[next_idx] = accumulated
-            if general is not None:
-                general[next_idx] = e0 + float(np.abs(agg.initial).sum()) \
-                    * static_error * _general_bound_factor(inf_step, k)
+            specific[next_idx] = accumulated
+            general[next_idx] = e0 + float(np.abs(agg.initial).sum()) \
+                * static_error * _general_bound_factor(inf_step, k)
             next_idx += 1
             if next_idx == len(ks):
                 break
@@ -301,8 +296,8 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     """
     if step_size < 1:
         raise InputError(f"step_size must be >= 1, got {step_size}")
-    if not epsilon > 0.0:
-        raise InputError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0.0 < epsilon < np.inf:
+        raise InputError(f"epsilon must be positive and finite, got {epsilon!r}")
     builder = ArnoldiBuilder(p_mat, p0, max_size, method=method)
     while True:
         builder.expand()

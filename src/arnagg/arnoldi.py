@@ -84,6 +84,8 @@ class ArnoldiBuilder:
         n = p_mat.n
         if v.shape[0] != n:
             raise DimensionMismatch(f"p0 has length {v.shape[0]}, chain has {n} states")
+        if not np.isfinite(v).all():
+            raise InputError("start vector has non-finite entries")
         if not 1 <= max_size <= n:
             raise InputError(f"target size {max_size} outside 1..{n}")
         nrm = float(np.linalg.norm(v))

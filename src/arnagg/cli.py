@@ -6,7 +6,9 @@ floats at 17 significant digits, so identical configuration and seed give
 byte-identical files apart from wall-time columns.  Exit codes: 0 success,
 2 configuration or validation problems, 3 numerical failures.
 
-ARNAGG_THREADS caps how many independent samples/sizes run concurrently.
+``trace`` and ``sweep`` run one job per (sample, size) on a thread pool;
+ARNAGG_THREADS caps how many of those jobs run concurrently.  A sweep row's
+wall_time is the wall time of the one job that produced it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .aggregate import (
     NEVER,
+    TRACE_CSV_HEADER,
     NormalizationPolicy,
     error_trace,
     parse_policy,
@@ -43,6 +46,7 @@ from .mchain import (
 )
 from .models import counterexample, random_chain, random_ncd
 from .orthonorm import CGSIR, VARIANTS, OrthMethod, parse_method
+from .schur import aggregated_stationary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -144,6 +148,12 @@ def _make_p0(source: str, n: int, rng_key) -> Distribution:
     raise InputError(f"unknown p0 source {source!r} (file:PATH|uniform|point:I|random)")
 
 
+def _check_sizes(sizes: list[int], n: int) -> None:
+    for j in sizes:
+        if not 1 <= j <= n:
+            raise InputError(f"size {j} outside 1..{n}")
+
+
 @dataclass
 class RunConfig:
     """Validated parameters of one experiment family."""
@@ -154,8 +164,6 @@ class RunConfig:
     policy: NormalizationPolicy = NEVER
     sizes: list[int] = field(default_factory=list)
     ks: list[int] = field(default_factory=list)
-    epsilon: float | None = None
-    step_size: int = 1
     samples: int = 1
     seed: int = 0
     out: str | None = None
@@ -163,9 +171,7 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise InputError(f"samples must be >= 1, got {self.samples}")
-        for j in self.sizes:
-            if not 1 <= j <= self.chain.n:
-                raise InputError(f"size {j} outside 1..{self.chain.n}")
+        _check_sizes(self.sizes, self.chain.n)
         if self.samples > 1 and self.p0_source != "random":
             raise InputError("--samples > 1 requires --p0 random")
 
@@ -173,6 +179,20 @@ class RunConfig:
         if self.p0_source == "random":
             return _make_p0("random", self.chain.n, [self.seed, i])
         return _make_p0(self.p0_source, self.chain.n, self.seed)
+
+
+def _run_config(args, sizes: list[int]) -> RunConfig:
+    return RunConfig(
+        chain=_load_chain(args),
+        p0_source=args.p0,
+        method=parse_method(args.method),
+        policy=parse_policy(args.policy),
+        sizes=sizes,
+        ks=_parse_int_list(args.ks, "k"),
+        samples=args.samples,
+        seed=args.seed,
+        out=args.out,
+    )
 
 
 def _workers(njobs: int) -> int:
@@ -258,16 +278,6 @@ def _cmd_aggregate(args) -> int:
     return EXIT_OK
 
 
-def _trace_rows(cfg: RunConfig, sample: int) -> list[list]:
-    p0 = cfg.p0_for_sample(sample)
-    agg = pipeline_naive(cfg.chain, p0, cfg.sizes[0], method=cfg.method)
-    trace = error_trace(cfg.chain, p0, agg, cfg.ks, policy=cfg.policy)
-    return [
-        [str(int(k)), trace.errors[i], trace.bound_specific[i], trace.bound_general[i]]
-        for i, k in enumerate(trace.steps)
-    ]
-
-
 def _mean_rows(per_sample: list[list[list]]) -> list[list]:
     out = []
     for rows in zip(*per_sample):
@@ -279,83 +289,65 @@ def _mean_rows(per_sample: list[list[list]]) -> list[list]:
     return out
 
 
-def _cmd_trace(args) -> int:
-    cfg = RunConfig(
-        chain=_load_chain(args),
-        p0_source=args.p0,
-        method=parse_method(args.method),
-        policy=parse_policy(args.policy),
-        sizes=[args.size],
-        ks=_parse_int_list(args.ks, "k"),
-        samples=args.samples,
-        seed=args.seed,
-        out=args.out,
-    )
-    header = "k,e_k,bound_specific,bound_general"
-    with ThreadPoolExecutor(max_workers=_workers(cfg.samples)) as pool:
-        per_sample = list(pool.map(lambda i: _trace_rows(cfg, i), range(cfg.samples)))
+def _run_jobs(cfg: RunConfig, header: str, job_rows) -> int:
+    """Run ``job_rows(cfg, sample, size)`` for every (sample, size) and write the CSVs.
+
+    Jobs run on a thread pool; each sample's rows are joined in size order.
+    One sample writes ``cfg.out``; several write one ``_s###`` file each plus
+    a ``_mean`` file.
+    """
+    jobs = [(s, j) for s in range(cfg.samples) for j in cfg.sizes]
+    with ThreadPoolExecutor(max_workers=_workers(len(jobs))) as pool:
+        results = list(pool.map(lambda job: job_rows(cfg, *job), jobs))
+    per_sample = [[] for _ in range(cfg.samples)]
+    for (sample, _), rows in zip(jobs, results):
+        per_sample[sample].extend(rows)
     if cfg.samples == 1:
         _write_rows(cfg.out, header, per_sample[0])
         print(f"wrote {cfg.out}")
         return EXIT_OK
     paths = _sample_paths(cfg.out, cfg.samples)
-    for path, rows in zip(paths, per_sample):
+    for path, rows in zip(paths, per_sample + [_mean_rows(per_sample)]):
         _write_rows(path, header, rows)
-    _write_rows(paths[-1], header, _mean_rows(per_sample))
     print(f"wrote {len(paths)} files ({paths[0]} .. {paths[-1]})")
     return EXIT_OK
 
 
-def _sweep_row(cfg: RunConfig, sample: int, size: int) -> list:
+def _trace_rows(cfg: RunConfig, sample: int, size: int) -> list[list]:
+    p0 = cfg.p0_for_sample(sample)
+    agg = pipeline_naive(cfg.chain, p0, size, method=cfg.method)
+    trace = error_trace(cfg.chain, p0, agg, cfg.ks, policy=cfg.policy)
+    return [
+        [str(int(k)), trace.errors[i], trace.bound_specific[i], trace.bound_general[i]]
+        for i, k in enumerate(trace.steps)
+    ]
+
+
+def _sweep_rows(cfg: RunConfig, sample: int, size: int) -> list[list]:
     p0 = cfg.p0_for_sample(sample)
     start = time.perf_counter()
+    agg = pipeline_naive(cfg.chain, p0, size, method=cfg.method)
     # A size whose leading eigenpair is complex has no usable stationary
     # vector; its criterion is reported as nan instead of aborting the sweep.
     try:
-        agg = pipeline_schur(cfg.chain, p0, size, method=cfg.method)
-        criterion = None
+        agg = aggregated_stationary(agg)
     except ComplexStationary:
-        agg = pipeline_naive(cfg.chain, p0, size, method=cfg.method)
-        criterion = float("nan")
+        pass
     trace = error_trace(cfg.chain, p0, agg, cfg.ks, policy=cfg.policy)
-    if criterion is None:
-        criterion = trace.criterion
+    criterion = float("nan") if trace.criterion is None else trace.criterion
     wall = time.perf_counter() - start
-    return [str(size), trace.static_error, criterion] \
-        + [trace.errors[i] for i in range(len(cfg.ks))] + [wall]
+    return [[str(size), trace.static_error, criterion, *trace.errors, wall]]
+
+
+def _cmd_trace(args) -> int:
+    return _run_jobs(_run_config(args, [args.size]), TRACE_CSV_HEADER, _trace_rows)
 
 
 def _cmd_sweep(args) -> int:
-    cfg = RunConfig(
-        chain=_load_chain(args),
-        p0_source=args.p0,
-        method=parse_method(args.method),
-        policy=parse_policy(args.policy),
-        sizes=_parse_int_list(args.sizes, "size"),
-        ks=_parse_int_list(args.ks, "k"),
-        samples=args.samples,
-        seed=args.seed,
-        out=args.out,
-    )
+    cfg = _run_config(args, _parse_int_list(args.sizes, "size"))
     header = "j,static_error,criterion," \
         + ",".join(f"e_k_{k}" for k in cfg.ks) + ",wall_time"
-    jobs = [(s, j) for s in range(cfg.samples) for j in cfg.sizes]
-    with ThreadPoolExecutor(max_workers=_workers(len(jobs))) as pool:
-        results = list(pool.map(lambda sj: _sweep_row(cfg, sj[0], sj[1]), jobs))
-    per_sample = [
-        [results[s * len(cfg.sizes) + i] for i in range(len(cfg.sizes))]
-        for s in range(cfg.samples)
-    ]
-    if cfg.samples == 1:
-        _write_rows(cfg.out, header, per_sample[0])
-        print(f"wrote {cfg.out}")
-        return EXIT_OK
-    paths = _sample_paths(cfg.out, cfg.samples)
-    for path, rows in zip(paths, per_sample):
-        _write_rows(path, header, rows)
-    _write_rows(paths[-1], header, _mean_rows(per_sample))
-    print(f"wrote {len(paths)} files ({paths[0]} .. {paths[-1]})")
-    return EXIT_OK
+    return _run_jobs(cfg, header, _sweep_rows)
 
 
 def _cmd_bench(args) -> int:
@@ -365,9 +357,7 @@ def _cmd_bench(args) -> int:
         args.n, density=args.density, seed=args.seed, sparse=True
     )
     sizes = _parse_int_list(args.sizes, "size")
-    for j in sizes:
-        if not 1 <= j <= chain.n:
-            raise InputError(f"size {j} outside 1..{chain.n}")
+    _check_sizes(sizes, chain.n)
     p0 = Distribution.random(chain.n, seed=args.seed)
     method = parse_method(args.method)
 

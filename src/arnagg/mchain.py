@@ -161,13 +161,20 @@ class GeneratorMatrix(_MatrixBase):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"generator matrix must be square, got {m.shape}")
         _validate_entries_finite(m)
-        dense = m.toarray() if _is_sparse(m) else m
-        off = dense.copy()
-        np.fill_diagonal(off, 0.0)
-        r, c = np.nonzero(off < -tol)
-        if r.size:
-            raise NegativeEntry(int(r[0]), int(c[0]), float(off[r[0], c[0]]))
-        sums = dense.sum(axis=1)
+        if _is_sparse(m):
+            coo = m.tocoo()
+            coo.sum_duplicates()  # row-major order, as np.nonzero gives on the dense path
+            neg = np.nonzero((coo.row != coo.col) & (coo.data < -tol))[0]
+            if neg.size:
+                k = neg[0]
+                raise NegativeEntry(int(coo.row[k]), int(coo.col[k]), float(coo.data[k]))
+        else:
+            off = m.copy()
+            np.fill_diagonal(off, 0.0)
+            r, c = np.nonzero(off < -tol)
+            if r.size:
+                raise NegativeEntry(int(r[0]), int(c[0]), float(off[r[0], c[0]]))
+        sums = np.asarray(m.sum(axis=1)).ravel()
         bad = np.nonzero(np.abs(sums) > tol)[0]
         if bad.size:
             raise GeneratorRowSumViolation(int(bad[0]), float(sums[bad[0]]))

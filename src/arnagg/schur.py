@@ -1,9 +1,9 @@
-"""QR factorization, sorted complex Schur forms, and stationary extraction.
+"""Sorted complex Schur forms and stationary extraction.
 
-The numerics are LAPACK's: Householder QR for :func:`qr_decompose`, the
-complex Schur form (Hessenberg reduction plus shifted QR iteration) and
-``ztrexc`` reordering for :func:`schur_decompose`, and the general
-eigensolver ``geev`` for :func:`aggregated_stationary`.  Conventions:
+The numerics are LAPACK's: the complex Schur form (Hessenberg reduction
+plus shifted QR iteration) and ``ztrexc`` reordering for
+:func:`schur_decompose`, and the general eigensolver ``geev`` for
+:func:`aggregated_stationary`.  Conventions:
 
 * ``M = U @ T @ U^H`` with unitary ``U`` (columns are Schur vectors) and
   upper-triangular ``T``.
@@ -23,26 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arnoldi import Aggregation
-from .errors import (
-    ComplexStationary,
-    NoConvergence,
-    RankDeficient,
-    ShapeError,
-    ZeroVector,
-)
-from .orthonorm import RANK_TOL
+from .errors import ComplexStationary, NoConvergence, ShapeError, ZeroVector
 
 # Imaginary mass left after phase alignment is rounding noise up to this
 # threshold and dropped; above it the stationary vector is genuinely complex.
 IMAG_ERROR_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class QRPair:
-    """Orthonormal-column factor and upper-triangular factor, M = Q @ R."""
-
-    q: np.ndarray
-    r: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,32 +44,6 @@ class SchurDecomposition:
     @property
     def n(self) -> int:
         return self.triangular.shape[0]
-
-
-def qr_decompose(m) -> QRPair:
-    """Reduced QR factorization with a real, nonnegative diagonal of R.
-
-    Raises RankDeficient(col) when a column is numerically dependent on its
-    predecessors, i.e. its component orthogonal to them is at most
-    ``RANK_TOL`` times its norm.
-    """
-    a = np.asarray(m)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a matrix, got shape {a.shape}")
-    n, k = a.shape
-    if n < k:
-        raise ShapeError(f"need at least as many rows as columns, got {a.shape}")
-    a = a.astype(complex if np.iscomplexobj(a) else float)
-    q, r = np.linalg.qr(a)
-    d = np.abs(np.diagonal(r))
-    bad = np.nonzero(d <= RANK_TOL * np.linalg.norm(a, axis=0))[0]
-    if bad.size:
-        raise RankDeficient(int(bad[0]))
-    phase = np.diagonal(r) / d
-    q = q * phase
-    r = phase.conj()[:, None] * r
-    np.fill_diagonal(r, d)
-    return QRPair(q, r)
 
 
 def _closest_to_one(evs) -> int:

@@ -225,6 +225,13 @@ class TestErrorTrace:
         assert tr.criterion is not None and tr.criterion <= 1e-10
         assert tr.stationary_residual is not None and tr.stationary_residual <= 1e-8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_vector_rejected(self, bad):
+        p = random_chain(6, 0.5, seed=1)
+        agg = pipeline_naive(p, Distribution.uniform(6), 3)
+        with pytest.raises(InputError, match="non-finite"):
+            error_trace(p, np.array([bad, 0.2, 0.2, 0.2, 0.2, 0.2]), agg, [0, 1])
+
     def test_ks_must_ascend(self):
         p, p0 = counterexample(0.5)
         agg = pipeline_naive(p, p0, 1)
@@ -241,13 +248,6 @@ class TestErrorTrace:
         with pytest.raises(ZeroVector):
             error_trace(p, p0, agg, [0, 1], policy=ALWAYS)
         tr = error_trace(p, p0, agg, [0, 1], policy=CONDITIONAL)
-        assert np.allclose(tr.errors, [0.0, 1.0], atol=1e-14)
-
-    def test_bounds_can_be_disabled(self):
-        p, p0 = counterexample(0.5)
-        agg = pipeline_naive(p, p0, 1)
-        tr = error_trace(p, p0, agg, [0, 1], with_specific=False, with_general=False)
-        assert tr.bound_specific is None and tr.bound_general is None
         assert np.allclose(tr.errors, [0.0, 1.0], atol=1e-14)
 
     def test_csv_serialization_round_trips(self, tmp_path):
@@ -369,7 +369,8 @@ class TestPipelineDynamic:
 
     def test_parameter_validation(self):
         p, p0 = counterexample(0.5)
-        with pytest.raises(InputError):
-            pipeline_dynamic(p, p0, 3, 0.0)
+        for epsilon in (0.0, np.inf, np.nan):
+            with pytest.raises(InputError):
+                pipeline_dynamic(p, p0, 3, epsilon)
         with pytest.raises(InputError):
             pipeline_dynamic(p, p0, 3, 1e-8, step_size=0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from arnagg.aggregate import pipeline_dynamic, pipeline_naive, pipeline_schur
 from arnagg.arnoldi import (
     ArnoldiBuilder,
     arnoldi_iterate,
@@ -67,6 +68,19 @@ class TestArnoldiIterate:
         p = validate_stochastic(np.eye(3))
         with pytest.raises(DimensionMismatch):
             arnoldi_iterate(p, Distribution.uniform(4), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [
+        lambda p, p0: arnoldi_iterate(p, p0, 3),
+        lambda p, p0: ArnoldiBuilder(p, p0, 3),
+        lambda p, p0: pipeline_naive(p, p0, 3),
+        lambda p, p0: pipeline_schur(p, p0, 3),
+        lambda p, p0: pipeline_dynamic(p, p0, 3, 1e-8),
+    ], ids=["arnoldi_iterate", "ArnoldiBuilder", "naive", "schur", "dynamic"])
+    def test_non_finite_start_vector_rejected(self, entry, bad):
+        p = random_chain(6, 0.5, seed=1)
+        with pytest.raises(InputError, match="non-finite"):
+            entry(p, np.array([bad, 0.2, 0.2, 0.2, 0.2, 0.2]))
 
     def test_hessenberg_zero_pattern(self):
         p = random_chain(12, 0.6, seed=7)

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from arnagg import cli
+from arnagg.aggregate import error_trace, format_trace_csv, pipeline_naive, pipeline_schur
 from arnagg.errors import ComplexStationary
-from arnagg.mchain import load_distribution, load_matrix, save_distribution, save_matrix
+from arnagg.mchain import (
+    Distribution,
+    load_distribution,
+    load_matrix,
+    save_distribution,
+    save_matrix,
+)
+from arnagg.models import random_chain
+from arnagg.orthonorm import parse_method
 
 
 def run(*argv):
@@ -15,6 +24,26 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def without_wall_time(path):
+    """File text with the trailing wall_time field cut from every data row."""
+    lines = path.read_text().split("\n")
+    if not lines[0].endswith(",wall_time"):
+        return "\n".join(lines)
+    return "\n".join([lines[0]] + [line.rpartition(",")[0] for line in lines[1:]])
+
+
+def complex_at(monkeypatch, size):
+    """Make the CLI's stationary extraction raise ComplexStationary at one size."""
+    real = cli.aggregated_stationary
+
+    def fake(agg):
+        if agg.size == size:
+            raise ComplexStationary(0.5)
+        return real(agg)
+
+    monkeypatch.setattr(cli, "aggregated_stationary", fake)
 
 
 class TestGen:
@@ -88,6 +117,14 @@ class TestAggregate:
         assert "not finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("agg*"))
 
+    @pytest.mark.parametrize("epsilon", ["inf", "nan"])
+    def test_non_finite_epsilon_exits_2(self, tmp_path, capsys, epsilon):
+        assert run("aggregate", "--gen", "random:n=6,density=0.5", "--p0", "uniform",
+                   "--size", 6, "--pipeline", "dynamic", "--epsilon", epsilon,
+                   "--seed", 1, "--out", tmp_path / "agg") == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert not list(tmp_path.glob("agg*"))
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise ComplexStationary(0.5)
@@ -152,17 +189,23 @@ class TestTrace:
         assert a.read_bytes() == b.read_bytes()
 
     def test_thread_cap_env_var_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ARNAGG_THREADS", "1")
-        capped = tmp_path / "capped.csv"
-        assert run("trace", "--gen", "random:n=10", "--p0", "random", "--size", 5,
-                   "--ks", "0..10", "--samples", 2, "--seed", 7, "--out", capped) == 0
-        monkeypatch.delenv("ARNAGG_THREADS")
-        free = tmp_path / "free.csv"
-        assert run("trace", "--gen", "random:n=10", "--p0", "random", "--size", 5,
-                   "--ks", "0..10", "--samples", 2, "--seed", 7, "--out", free) == 0
-        capped_mean = tmp_path / "capped_mean.csv"
-        free_mean = tmp_path / "free_mean.csv"
-        assert capped_mean.read_bytes() == free_mean.read_bytes()
+        commands = {
+            "trace": ["--size", 5, "--ks", "0..10"],
+            "sweep": ["--sizes", "1..9..2", "--ks", "5,10"],
+        }
+        for command, args in commands.items():
+            for cap in ("1", None):
+                if cap is None:
+                    monkeypatch.delenv("ARNAGG_THREADS")
+                else:
+                    monkeypatch.setenv("ARNAGG_THREADS", cap)
+                out = tmp_path / f"{command}_{cap or 'free'}.csv"
+                assert run(command, "--gen", "random:n=10", "--p0", "random", *args,
+                           "--samples", 2, "--seed", 7, "--out", out) == 0
+            for suffix in ("s000", "s001", "mean"):
+                capped = tmp_path / f"{command}_1_{suffix}.csv"
+                free = tmp_path / f"{command}_free_{suffix}.csv"
+                assert without_wall_time(capped) == without_wall_time(free)
 
     @pytest.mark.parametrize("cap", ["abc", "0", "-2"])
     def test_bad_thread_cap_exits_2(self, tmp_path, monkeypatch, capsys, cap):
@@ -213,6 +256,27 @@ class TestSweep:
         static_cgs2 = float(read_csv(out_cgs2)[1][0][1])
         assert static_cgs >= static_cgs2
 
+    def test_complex_size_reports_nan_criterion(self, tmp_path, monkeypatch):
+        out = tmp_path / "sw.csv"
+        args = ["sweep", "--gen", "random:n=12", "--p0", "random", "--sizes", "2,3,4",
+                "--ks", "5", "--seed", 9]
+        assert run(*args, "--out", out) == 0
+        complex_at(monkeypatch, 3)
+        krylov_runs = []
+
+        def counting_naive(*a, **kw):
+            krylov_runs.append(a[2])
+            return pipeline_naive(*a, **kw)
+
+        monkeypatch.setattr(cli, "pipeline_naive", counting_naive)
+        forced = tmp_path / "forced.csv"
+        assert run(*args, "--out", forced) == 0
+        assert sorted(krylov_runs) == [2, 3, 4]
+        (_, plain), (_, rows) = read_csv(out), read_csv(forced)
+        assert [r[2] for r in rows] == [plain[0][2], "nan", plain[2][2]]
+        assert float(plain[1][2]) >= 0.0
+        assert [r[:2] + r[3:-1] for r in rows] == [r[:2] + r[3:-1] for r in plain]
+
     def test_byte_identical_apart_from_wall_time(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -223,6 +287,80 @@ class TestSweep:
             header, rows = read_csv(out)
             outs.append([r[:-1] for r in rows])
         assert outs[0] == outs[1]
+
+
+class TestRunnerMatchesLibrary:
+    """trace and sweep write what the per-size library calls give, sample by sample."""
+
+    N, SEED, KS, SIZES, COMPLEX_SIZE = 14, 21, [0, 3, 8], [2, 5, 8, 11], 8
+    TRACE_SIZE = 5
+
+    @staticmethod
+    def expected_files(stem, header, rows_by_sample):
+        """File texts of one run, wall_time cut: one file, or ``_s###`` files plus ``_mean``."""
+
+        def text(rows):
+            body = [",".join([r[0]] + ["%.17g" % x for x in r[1:]]) for r in rows]
+            return "\n".join([header] + body) + "\n"
+
+        if len(rows_by_sample) == 1:
+            return {f"{stem}.csv": text(rows_by_sample[0])}
+        texts = {f"{stem}_s{i:03d}.csv": text(rows) for i, rows in enumerate(rows_by_sample)}
+        means = [[rows[0][0], *np.mean([r[1:] for r in rows], axis=0)]
+                 for rows in zip(*rows_by_sample)]
+        texts[f"{stem}_mean.csv"] = text(means)
+        return texts
+
+    def library_trace(self, p, p0, method):
+        agg = pipeline_naive(p, p0, self.TRACE_SIZE, method=method)
+        return error_trace(p, p0, agg, self.KS)
+
+    def library_sweep_rows(self, p, p0, method):
+        rows = []
+        for j in self.SIZES:
+            if j == self.COMPLEX_SIZE:
+                trace = error_trace(p, p0, pipeline_naive(p, p0, j, method=method), self.KS)
+                criterion = np.nan
+            else:
+                trace = error_trace(p, p0, pipeline_schur(p, p0, j, method=method), self.KS)
+                criterion = trace.criterion
+            rows.append([str(j), trace.static_error, criterion, *trace.errors])
+        return rows
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    @pytest.mark.parametrize("method", ["cgs", "mgs2"])
+    def test_files_match_per_size_library_path(self, tmp_path, monkeypatch, method, samples):
+        chain = tmp_path / "chain.mtx"
+        save_matrix(random_chain(self.N, density=0.6, seed=5), chain)
+        p = load_matrix(chain)
+        starts = [Distribution.random(self.N, seed=[self.SEED, i]) for i in range(samples)]
+        m = parse_method(method)
+        common = ["--input", chain, "--p0", "random", "--method", method,
+                  "--ks", ",".join(map(str, self.KS)), "--samples", samples,
+                  "--seed", self.SEED]
+        complex_at(monkeypatch, self.COMPLEX_SIZE)
+        assert run("trace", *common, "--size", self.TRACE_SIZE, "--out", tmp_path / "tr.csv") == 0
+        assert run("sweep", *common, "--sizes", ",".join(map(str, self.SIZES)),
+                   "--out", tmp_path / "sw.csv") == 0
+
+        traces = [self.library_trace(p, p0, m) for p0 in starts]
+        trace_rows = [
+            [[str(k), *cols] for k, *cols in zip(
+                t.steps, t.errors, t.bound_specific, t.bound_general)]
+            for t in traces
+        ]
+        sweep_header = "j,static_error,criterion," \
+            + ",".join(f"e_k_{k}" for k in self.KS) + ",wall_time"
+        expected = {
+            **self.expected_files("tr", "k,e_k,bound_specific,bound_general", trace_rows),
+            **self.expected_files("sw", sweep_header,
+                                  [self.library_sweep_rows(p, p0, m) for p0 in starts]),
+        }
+        assert {f.name for f in tmp_path.glob("*.csv")} == set(expected)
+        for name, text in expected.items():
+            assert without_wall_time(tmp_path / name) == text, name
+        if samples == 1:
+            assert (tmp_path / "tr.csv").read_text() == format_trace_csv(traces[0])
 
 
 class TestBench:

@@ -137,6 +137,39 @@ class TestValidateGenerator:
             with pytest.raises(InputError, match="not finite"):
                 validate_generator(storage)
 
+    def test_sparse_validation_does_not_densify(self, monkeypatch):
+        n = 2000
+        up, down = np.full(n - 1, 2.0), np.full(n - 1, 1.0)
+        diag = -np.concatenate([up, [0.0]]) - np.concatenate([[0.0], down])
+        q = sp.diags_array([down, diag, up], offsets=[-1, 0, 1], format="csr")
+
+        def densify(*args, **kwargs):
+            raise AssertionError("sparse generator was densified")
+
+        monkeypatch.setattr(type(q), "toarray", densify)
+        monkeypatch.setattr(type(q), "todense", densify)
+        gen = validate_generator(q)
+        assert gen.is_sparse and gen.max_diag_magnitude == 3.0
+        assert uniformize(gen).is_sparse
+
+    @pytest.mark.parametrize("q, error, fields, expected", [
+        ([[-1.0, 1.0, 0.0], [0.5, 0.0, -0.5], [0.0, -2.0, 2.0]], NegativeEntry,
+         ("row", "col", "value"), (1, 2, -0.5)),
+        ([[-1.0, 1.0, 0.0], [0.25, -0.25, 0.0], [0.5, 0.0, 0.0]], GeneratorRowSumViolation,
+         ("row", "row_sum"), (2, 0.5)),
+    ], ids=["negative_entry", "row_sum"])
+    def test_sparse_and_dense_raise_the_same_error(self, q, error, fields, expected):
+        for storage in (np.array(q), sp.csr_array(np.array(q))):
+            with pytest.raises(error) as err:
+                validate_generator(storage)
+            assert tuple(getattr(err.value, f) for f in fields) == expected
+
+    def test_sparse_duplicate_entries_are_summed(self):
+        # Row 0 stores (0, 1) twice, as -1 and 2: the matrix entry is 1.
+        q = sp.csr_array((np.array([-1.0, -1.0, 2.0, 0.0]), np.array([0, 1, 1, 1]),
+                          np.array([0, 3, 4])), shape=(2, 2))
+        assert validate_generator(q).toarray().tolist() == [[-1.0, 1.0], [0.0, 0.0]]
+
 
 class TestTransient:
     def test_identity_chain_is_a_fixpoint(self):

@@ -14,7 +14,6 @@ from arnagg.arnoldi import Aggregation, arnoldi_iterate, build_aggregation
 from arnagg.errors import (
     ComplexStationary,
     NoConvergence,
-    RankDeficient,
     ShapeError,
 )
 from arnagg.mchain import Distribution, inf_norm
@@ -24,7 +23,6 @@ from arnagg.schur import (
     IMAG_ERROR_TOL,
     aggregated_stationary,
     leading_eigvec,
-    qr_decompose,
     schur_decompose,
 )
 
@@ -44,43 +42,6 @@ def reconstruction_error(m, s):
 def unitarity_error(s):
     u = s.unitary
     return inf_norm(u @ u.conj().T - np.eye(u.shape[0]))
-
-
-class TestQRDecompose:
-    def test_identity(self):
-        pair = qr_decompose(np.eye(3))
-        assert np.array_equal(pair.q, np.eye(3))
-        assert np.array_equal(pair.r, np.eye(3))
-
-    def test_two_by_two_reconstruction(self):
-        m = np.array([[1.0, 1.0], [1.0, 0.0]])
-        pair = qr_decompose(m)
-        assert np.abs(pair.q @ pair.r - m).max() <= 1e-14
-        assert pair.r[1, 0] == 0.0
-        assert np.abs(pair.q.T @ pair.q - np.eye(2)).max() <= 1e-14
-
-    def test_equal_columns_rank_deficient(self):
-        m = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
-        with pytest.raises(RankDeficient) as err:
-            qr_decompose(m)
-        assert err.value.index == 1
-
-    def test_random_real_and_complex(self, rng):
-        for _ in range(10):
-            n, k = int(rng.integers(2, 9)), int(rng.integers(1, 6))
-            n = max(n, k)
-            m = rng.standard_normal((n, k))
-            if rng.random() < 0.5:
-                m = m + 1j * rng.standard_normal((n, k))
-            pair = qr_decompose(m)
-            scale = np.abs(m).max()
-            assert np.abs(pair.q @ pair.r - m).max() <= 1e-12 * scale
-            assert np.abs(pair.q.conj().T @ pair.q - np.eye(k)).max() <= 1e-12
-            diag = np.diag(pair.r)
-            assert np.all(np.abs(np.imag(diag)) == 0.0)
-            assert np.all(np.real(diag) >= 0.0)
-            tri = np.tril(pair.r, -1)
-            assert np.abs(tri).max(initial=0.0) == 0.0
 
 
 class TestSchurDecompose:
