@@ -17,6 +17,7 @@ import numpy as np
 from .arnoldi import (
     Aggregation,
     ArnoldiBuilder,
+    ArnoldiFactorization,
     arnoldi_iterate,
     build_aggregation,
 )
@@ -281,14 +282,35 @@ def pipeline_schur(p_mat: StochasticMatrix, p0, size: int,
     return aggregated_stationary(pipeline_naive(p_mat, p0, size, method=method))
 
 
+def _relation_criterion(fact: ArnoldiFactorization, stationary: np.ndarray) -> float:
+    """The convergence criterion of ``fact``'s aggregation, in O(n).
+
+    The Arnoldi relation ``H Q + E = Q P`` makes the exactness defect
+    ``H Q - Q P`` equal to ``-E`` up to rounding, and ``E`` is zero except
+    for its last row, ``residual_norm * residual_direction``.  The
+    stationary-weighted defect ``sum_i |pi_i| * ||(H Q - Q P)_i||_1`` is
+    therefore ``|pi_j| * residual_norm * ||residual_direction||_1``
+    (Saad's Arnoldi residual estimate), and 0 once the basis deflated.
+    It differs from ``convergence_criterion`` by at most
+    ``||pi||_1 * relation_residual(fact, P)``.
+    """
+    if fact.residual_direction is None:
+        return 0.0
+    return float(abs(stationary[-1]) * fact.residual_norm
+                 * np.abs(fact.residual_direction).sum())
+
+
 def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
                      step_size: int = 1, method: OrthMethod = CGSIR) -> Aggregation:
     """Grow the aggregation until the convergence criterion drops below epsilon.
 
-    The criterion (via a fresh Schur form each time) is evaluated every
-    ``step_size`` expansions, at deflation, and at ``max_size``; the first
-    size passing ``criterion <= epsilon`` wins, else the final size is
-    returned.  The result carries its stationary vector and criterion.
+    The criterion is evaluated every ``step_size`` expansions, at
+    deflation, and at ``max_size``, on the stationary vector of the current
+    step matrix (LAPACK ``geev``) and read off the Arnoldi relation in O(n)
+    (see ``_relation_criterion``); the first size passing
+    ``criterion <= epsilon`` wins, else the final size is returned.  The
+    result carries its stationary vector and criterion, and its arrays are
+    read-only views of the builder's storage.
 
     A truncated step matrix can transiently have a complex leading
     eigenpair mid-growth; such sizes simply cannot stop the iteration.
@@ -302,13 +324,14 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     while True:
         builder.expand()
         if builder.size % step_size == 0 or builder.done:
+            fact = builder.snapshot()
             try:
-                agg = aggregated_stationary(build_aggregation(builder.snapshot(), p0))
+                agg = aggregated_stationary(build_aggregation(fact, p0))
             except ComplexStationary:
                 if builder.done:
                     raise
                 continue
-            crit = convergence_criterion(p_mat, agg)
+            crit = _relation_criterion(fact, agg.stationary)
             agg = replace(agg, criterion=crit)
             if crit <= epsilon or builder.done:
                 return agg

@@ -25,6 +25,9 @@ DEFLATION_TOL = 1e-12
 class ArnoldiFactorization:
     """Completed (or deflated) Krylov factorization of size j.
 
+    Factorizations from ``ArnoldiBuilder.snapshot()`` (and so from
+    ``arnoldi_iterate``) hold read-only views of the builder's storage.
+
     basis: (j, n) orthonormal rows spanning the Krylov subspace.
     hessenberg: (j, j) step matrix, zero above the first superdiagonal.
     residual_norm: norm of the next, not yet accepted direction.
@@ -49,7 +52,9 @@ class Aggregation:
     ``stationary`` is attached by the Schur path and is scaled so that its
     disaggregated image has unit 1-norm.  ``criterion`` carries the
     convergence-criterion value for aggregations built by the dynamic
-    pipeline.
+    pipeline.  ``build_aggregation`` aliases the factorization's arrays, so
+    on a snapshot ``step_matrix`` and ``disaggregation`` are read-only
+    views of the builder's storage.
     """
 
     step_matrix: np.ndarray
@@ -73,9 +78,11 @@ class Aggregation:
 class ArnoldiBuilder:
     """Grows a Krylov factorization one direction at a time.
 
-    Single-owner while growing; ``snapshot()`` hands out an immutable copy.
-    Storage for the basis and the step coefficients is preallocated at
-    ``max_size`` so expansion never reallocates.
+    Single-owner while growing; ``snapshot()`` hands out read-only views of
+    the storage, which is preallocated at ``max_size`` so expansion never
+    reallocates.  The views stay valid as the builder grows: step j' writes
+    only basis row j' and step-coefficient row j' - 1, and a size-j
+    snapshot reads neither.
     """
 
     def __init__(self, p_mat: StochasticMatrix, p0, max_size: int,
@@ -129,14 +136,19 @@ class ArnoldiBuilder:
         if self._steps == 0:
             raise InputError("no steps taken yet; nothing to snapshot")
         j = self._steps
-        direction = None if self.deflated else self._q[j].copy()
+        direction = None if self.deflated else _read_only(self._q[j])
         return ArnoldiFactorization(
-            basis=self._q[:j].copy(),
-            hessenberg=self._h[:j, :j].copy(),
+            basis=_read_only(self._q[:j]),
+            hessenberg=_read_only(self._h[:j, :j]),
             residual_norm=float(self._h[j - 1, j]),
             residual_direction=direction,
             deflated=self.deflated,
         )
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 def arnoldi_iterate(p_mat: StochasticMatrix, p0, m: int,
@@ -156,15 +168,17 @@ def arnoldi_iterate(p_mat: StochasticMatrix, p0, m: int,
 def build_aggregation(fact: ArnoldiFactorization, p0) -> Aggregation:
     """Package a factorization as an aggregation of its chain.
 
-    The aggregated start vector puts the whole 2-norm of ``p0`` on the
-    first coordinate, which makes the disaggregated start exact.
+    The step matrix and disaggregation map are the factorization's arrays,
+    not copies.  The aggregated start vector puts the whole 2-norm of
+    ``p0`` on the first coordinate, which makes the disaggregated start
+    exact.
     """
     v = as_vector(p0)
     initial = np.zeros(fact.size)
     initial[0] = float(np.linalg.norm(v))
     return Aggregation(
-        step_matrix=fact.hessenberg.copy(),
-        disaggregation=fact.basis.copy(),
+        step_matrix=fact.hessenberg,
+        disaggregation=fact.basis,
         initial=initial,
     )
 

@@ -139,7 +139,10 @@ def _make_p0(source: str, n: int, rng_key) -> Distribution:
     if source == "random":
         return Distribution.random(n, seed=rng_key)
     if source.startswith("point:"):
-        idx = int(source.split(":", 1)[1])
+        try:
+            idx = int(source.split(":", 1)[1])
+        except ValueError:
+            raise InputError(f"bad point index in p0 source {source!r}") from None
         if not 0 <= idx < n:
             raise InputError(f"point index {idx} outside 0..{n - 1}")
         return Distribution.point(n, idx)
@@ -353,6 +356,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_bench(args) -> int:
     if args.warmup < 1:
         raise InputError(f"warmup must be >= 1, got {args.warmup}")
+    if args.reps < 1:
+        raise InputError(f"reps must be >= 1, got {args.reps}")
     chain = _load_chain(args) if (args.input or args.gen) else random_chain(
         args.n, density=args.density, seed=args.seed, sparse=True
     )

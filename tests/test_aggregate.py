@@ -6,6 +6,7 @@ from arnagg.aggregate import (
     CONDITIONAL,
     NEVER,
     NormalizationPolicy,
+    _relation_criterion,
     aggregated_step,
     approximate,
     convergence_criterion,
@@ -17,7 +18,7 @@ from arnagg.aggregate import (
     pipeline_naive,
     pipeline_schur,
 )
-from arnagg.arnoldi import arnoldi_iterate, build_aggregation
+from arnagg.arnoldi import ArnoldiBuilder, arnoldi_iterate, build_aggregation, relation_residual
 from arnagg.errors import (
     ComplexStationary,
     DimensionMismatch,
@@ -25,8 +26,15 @@ from arnagg.errors import (
     MissingStationary,
     ZeroVector,
 )
-from arnagg.mchain import Distribution, inf_norm, validate_stochastic, weighted_abs_row_sums
+from arnagg.mchain import (
+    Distribution,
+    StochasticMatrix,
+    inf_norm,
+    validate_stochastic,
+    weighted_abs_row_sums,
+)
 from arnagg.models import counterexample, random_chain, random_ncd
+from arnagg.orthonorm import VARIANTS, OrthMethod
 from arnagg.schur import aggregated_stationary
 
 from oracles import power_iteration_stationary, transient_by_power
@@ -294,6 +302,44 @@ class TestConvergenceCriterion:
         assert crit_full <= crit_half
 
 
+def closed_form_models():
+    """Acceptance models, plus a 3-cycle that deflates at size 3."""
+    cycle = np.zeros((6, 6))
+    cycle[0, 1] = cycle[1, 2] = cycle[2, 0] = 1.0
+    cycle[3:, 3:] = 1.0 / 3.0
+    return [
+        (random_ncd(3, 8, 1e-3, seed=1), Distribution.random(24, seed=2)),
+        (random_ncd(4, 6, 1e-4, seed=3), Distribution.random(24, seed=4)),
+        counterexample(0.5),
+        (random_chain(20, 0.6, seed=5), Distribution.random(20, seed=6)),
+        (random_chain(40, 0.1, seed=7, sparse=True), Distribution.random(40, seed=8)),
+        (validate_stochastic(cycle), Distribution.point(6, 0)),
+    ]
+
+
+class TestRelationCriterion:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_materialised_criterion(self, variant):
+        # |closed form - materialised| <= ||pi||_1 * relation residual, up to rounding
+        deflated = 0
+        for p, p0 in closed_form_models():
+            b = ArnoldiBuilder(p, p0, p.n, method=OrthMethod(variant))
+            while not b.done:
+                b.expand()
+                fact = b.snapshot()
+                try:
+                    agg = aggregated_stationary(build_aggregation(fact, p0))
+                except ComplexStationary:
+                    continue
+                closed = _relation_criterion(fact, agg.stationary)
+                materialised = convergence_criterion(p, agg)
+                slack = np.abs(agg.stationary).sum() * relation_residual(fact, p)
+                ulps = 4 * np.finfo(float).eps * max(closed, materialised)
+                assert abs(closed - materialised) <= slack + ulps
+            deflated += b.deflated and b.size < p.n
+        assert deflated >= 2  # the counterexample and the 3-cycle
+
+
 class TestPipelines:
     def test_naive_equals_manual_composition(self):
         p = random_chain(9, 0.8, seed=101)
@@ -366,6 +412,22 @@ class TestPipelineDynamic:
         agg = pipeline_dynamic(p, p0, 10, 1e-10, step_size=2)
         assert agg.stationary is not None
         assert agg.criterion is not None
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_defect_never_materialised(self, monkeypatch, sparse):
+        def boom(*args, **kwargs):
+            raise AssertionError("pipeline_dynamic materialised a j x n product")
+
+        p = random_chain(300, 0.05, seed=151, sparse=sparse)
+        p0 = Distribution.random(300, seed=152)
+        monkeypatch.setattr(StochasticMatrix, "mat_mul", boom)
+        agg = pipeline_dynamic(p, p0, 40, 1e-10, step_size=3)
+        monkeypatch.undo()
+        assert not agg.step_matrix.flags.writeable
+        assert not agg.disaggregation.flags.writeable
+        fact = arnoldi_iterate(p, p0, agg.size)
+        slack = np.abs(agg.stationary).sum() * relation_residual(fact, p)
+        assert abs(agg.criterion - convergence_criterion(p, agg)) <= slack + 1e-15
 
     def test_parameter_validation(self):
         p, p0 = counterexample(0.5)

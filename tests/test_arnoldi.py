@@ -125,17 +125,30 @@ class TestBuilder:
         assert inc.residual_norm == ref.residual_norm
 
     def test_snapshot_prefix_property(self):
-        # the size-j factorization is a prefix of the size-(j+1) one
+        # the size-j factorization is a prefix of the size-(j+1) one, and a
+        # snapshot is a read-only view that later steps leave untouched
         p = random_chain(12, 0.5, seed=51)
         p0 = Distribution.random(12, seed=52)
         b = ArnoldiBuilder(p, p0, 5)
         b.expand()
         b.expand()
         small = b.snapshot()
+        arrays = (small.basis, small.hessenberg, small.residual_direction)
+        before = [a.copy() for a in arrays]
+        assert not any(a.flags.writeable for a in arrays)
+        agg = build_aggregation(small, p0)
+        assert agg.disaggregation is small.basis
+        assert agg.step_matrix is small.hessenberg
         b.expand()
         big = b.snapshot()
         assert np.array_equal(big.hessenberg[:2, :2], small.hessenberg)
         assert np.array_equal(big.basis[:2], small.basis)
+        assert np.shares_memory(big.basis, small.basis)
+        while not b.done:
+            b.expand()
+        assert b.size == 5
+        for a, ref in zip(arrays, before):
+            assert a.tobytes() == ref.tobytes()
 
     def test_expand_after_done_raises(self):
         p = validate_stochastic(np.eye(3))

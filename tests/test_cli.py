@@ -117,6 +117,12 @@ class TestAggregate:
         assert "not finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("agg*"))
 
+    def test_non_integer_point_index_exits_2(self, tmp_path, capsys):
+        assert run("aggregate", "--gen", "random:n=6,density=0.5", "--p0", "point:abc",
+                   "--size", 3, "--out", tmp_path / "agg") == 2
+        assert "point:abc" in capsys.readouterr().err
+        assert not list(tmp_path.glob("agg*"))
+
     @pytest.mark.parametrize("epsilon", ["inf", "nan"])
     def test_non_finite_epsilon_exits_2(self, tmp_path, capsys, epsilon):
         assert run("aggregate", "--gen", "random:n=6,density=0.5", "--p0", "uniform",
@@ -378,7 +384,7 @@ class TestBench:
 
     def test_schur_mode_is_slower(self, tmp_path):
         out = tmp_path / "bench.csv"
-        assert run("bench", "--n", 300, "--density", 0.05, "--sizes", "48",
+        assert run("bench", "--n", 300, "--density", 0.05, "--sizes", "150",
                    "--reps", 3, "--warmup", 1, "--seed", 1, "--out", out) == 0
         _, rows = read_csv(out)
         time_of = {r[2]: float(r[4]) for r in rows}
@@ -386,4 +392,8 @@ class TestBench:
 
     def test_warmup_must_be_positive(self, tmp_path):
         assert run("bench", "--sizes", "4", "--n", 20, "--warmup", 0,
+                   "--out", tmp_path / "x.csv") == 2
+
+    def test_reps_must_be_positive(self, tmp_path):
+        assert run("bench", "--sizes", "4", "--n", 20, "--reps", 0,
                    "--out", tmp_path / "x.csv") == 2
