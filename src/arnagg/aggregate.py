@@ -1,11 +1,11 @@
 """Aggregated stepping, error traces and bounds, normalization, pipelines.
 
-The error machinery walks the full chain and its aggregation in lockstep
-over reusable buffers, recording the 1-norm error at requested step counts
-together with two upper bounds: the accumulated per-step bound (a sum of
-weighted absolute row sums of the exactness defect) and the closed-form
-geometric bound.  The exactness defect ``step_matrix @ A - A @ P`` is
-materialized once per trace and reused everywhere it is needed.
+The error machinery walks the full chain once and each aggregation next to
+it over reusable buffers, recording the 1-norm error at requested step
+counts together with two upper bounds: the accumulated per-step bound (a
+sum of weighted absolute row sums of the exactness defect) and the
+closed-form geometric bound.  The exactness defect ``step_matrix @ A - A @ P``
+is materialized once per aggregation and only its row sums are kept.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from .mchain import (
     FLOAT_FORMAT,
     Distribution,
     StochasticMatrix,
+    _checkpoint_walk,
     as_vector,
     inf_norm,
     weighted_abs_row_sums,
 )
-from .orthonorm import CGSIR, OrthMethod
+from .orthonorm import CGSIR, OrthMethod, orthogonality_loss
 from .schur import aggregated_stationary
 
 # Entry threshold of the "some entry is too large" normalization rule.
@@ -199,74 +200,97 @@ def error_trace(p_mat: StochasticMatrix, p0, agg: Aggregation, ks,
                 policy: NormalizationPolicy = NEVER) -> ErrorTrace:
     """Walk chain and aggregation in lockstep, recording errors and bounds.
 
-    ``ks`` must be ascending step counts.  The initial error feeding both
+    ``ks`` must be ascending step counts.  The chain is walked once, to
+    ``ks[-1]``, over two reusable buffers; the aggregated vector takes the
+    same steps next to it.  The exactness defect is materialised once and
+    only its absolute row sums are kept.  The initial error feeding both
     bounds is measured, not assumed zero, which doubles as a check of the
-    aggregated start vector.
+    aggregated start vector.  This is the one-aggregation case of
+    ``_error_traces``.
+    """
+    return _error_traces(p_mat, p0, [agg], ks, policy=policy)[0]
+
+
+def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
+                  policy: NormalizationPolicy = NEVER) -> list[ErrorTrace]:
+    """``[error_trace(p_mat, p0, agg, ks, policy) for agg in aggs]`` on one chain walk.
+
+    At each checkpoint every aggregation's walk catches up with the chain,
+    so each trace takes the same steps, in the same order, as on its own.
     """
     ks = [int(k) for k in ks]
     if not ks:
         raise InputError("no step counts requested")
     if any(k < 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
         raise InputError(f"step counts must be ascending and nonnegative: {ks}")
-    p = as_vector(p0).copy()
-    if p.shape[0] != p_mat.n or agg.n_states != p_mat.n:
+    p = as_vector(p0)
+    if p.shape[0] != p_mat.n or any(agg.n_states != p_mat.n for agg in aggs):
         raise DimensionMismatch("chain, start vector, and aggregation disagree on n")
     if not np.isfinite(p).all():
         raise InputError("start vector has non-finite entries")
 
-    a = agg.disaggregation
-    step_m = agg.step_matrix
-    defect = exactness_defect(p_mat, agg)
-    defect_rows = np.abs(defect).sum(axis=1)
-    static_error = float(defect_rows.max()) if defect_rows.size else 0.0
-    inf_step = inf_norm(step_m)
+    # Built one after the other, so one defect is alive at a time.
+    walks = [_AggregatedWalk(p_mat, p, agg, len(ks), policy) for agg in aggs]
+    done = 0
+    for i, (k, p_k) in enumerate(zip(ks, _checkpoint_walk(p_mat, p, ks))):
+        for walk in walks:
+            walk.advance(k - done)
+            walk.record(i, k, p_k)
+        done = k
+    return [walk.result(p_mat, ks) for walk in walks]
 
-    pi = agg.initial.copy()
-    e0 = float(np.abs(pi @ a - p).sum())
 
-    p_buf = np.empty_like(p)
-    pi_buf = np.empty_like(pi)
-    abs_pi = np.empty_like(pi)
+class _AggregatedWalk:
+    """One aggregation's side of an error trace: its walk, bounds and errors."""
 
-    errors = np.empty(len(ks))
-    specific = np.empty(len(ks))
-    general = np.empty(len(ks))
+    def __init__(self, p_mat: StochasticMatrix, p0: np.ndarray, agg: Aggregation,
+                 checkpoints: int, policy: NormalizationPolicy):
+        self.agg = agg
+        self.policy = policy
+        self.defect_rows = np.abs(exactness_defect(p_mat, agg)).sum(axis=1)
+        self.static_error = float(self.defect_rows.max()) if self.defect_rows.size else 0.0
+        self.inf_step = inf_norm(agg.step_matrix)
+        self.pi = agg.initial.copy()
+        self.pi_buf = np.empty_like(self.pi)
+        self.abs_pi = np.empty_like(self.pi)
+        self.e0 = float(np.abs(self.pi @ agg.disaggregation - p0).sum())
+        self.accumulated = self.e0
+        self.errors = np.empty(checkpoints)
+        self.specific = np.empty(checkpoints)
+        self.general = np.empty(checkpoints)
 
-    accumulated = e0
-    next_idx = 0
-    for k in range(ks[-1] + 1):
-        if k == ks[next_idx]:
-            approx = normalize(pi @ a, policy).values
-            errors[next_idx] = float(np.abs(approx - p).sum())
-            specific[next_idx] = accumulated
-            general[next_idx] = e0 + float(np.abs(agg.initial).sum()) \
-                * static_error * _general_bound_factor(inf_step, k)
-            next_idx += 1
-            if next_idx == len(ks):
-                break
-        np.abs(pi, out=abs_pi)
-        accumulated += float(abs_pi @ defect_rows)
-        np.matmul(pi, step_m, out=pi_buf)
-        pi, pi_buf = pi_buf, pi
-        p_mat.vec_mul(p, out=p_buf)
-        p, p_buf = p_buf, p
+    def advance(self, steps: int) -> None:
+        """Take ``steps`` aggregated steps, accumulating the specific bound."""
+        for _ in range(steps):
+            np.abs(self.pi, out=self.abs_pi)
+            self.accumulated += float(self.abs_pi @ self.defect_rows)
+            np.matmul(self.pi, self.agg.step_matrix, out=self.pi_buf)
+            self.pi, self.pi_buf = self.pi_buf, self.pi
 
-    criterion = None
-    stationary_residual = None
-    if agg.stationary is not None:
-        criterion = float(np.abs(agg.stationary) @ defect_rows)
-        image = agg.stationary @ a
-        stationary_residual = float(np.abs(image - p_mat.vec_mul(image)).sum())
+    def record(self, i: int, k: int, p_k: np.ndarray) -> None:
+        """Record checkpoint ``i`` (step ``k``) against the exact ``p_k``."""
+        approx = normalize(self.pi @ self.agg.disaggregation, self.policy).values
+        self.errors[i] = float(np.abs(approx - p_k).sum())
+        self.specific[i] = self.accumulated
+        self.general[i] = self.e0 + float(np.abs(self.agg.initial).sum()) \
+            * self.static_error * _general_bound_factor(self.inf_step, k)
 
-    return ErrorTrace(
-        steps=np.array(ks, dtype=int),
-        errors=errors,
-        bound_specific=specific,
-        bound_general=general,
-        static_error=static_error,
-        criterion=criterion,
-        stationary_residual=stationary_residual,
-    )
+    def result(self, p_mat: StochasticMatrix, ks: list[int]) -> ErrorTrace:
+        criterion = None
+        stationary_residual = None
+        if self.agg.stationary is not None:
+            criterion = float(np.abs(self.agg.stationary) @ self.defect_rows)
+            image = self.agg.stationary @ self.agg.disaggregation
+            stationary_residual = float(np.abs(image - p_mat.vec_mul(image)).sum())
+        return ErrorTrace(
+            steps=np.array(ks, dtype=int),
+            errors=self.errors,
+            bound_specific=self.specific,
+            bound_general=self.general,
+            static_error=self.static_error,
+            criterion=criterion,
+            stationary_residual=stationary_residual,
+        )
 
 
 def pipeline_naive(p_mat: StochasticMatrix, p0, size: int,
@@ -314,7 +338,8 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
 
     A truncated step matrix can transiently have a complex leading
     eigenpair mid-growth; such sizes simply cannot stop the iteration.
-    ComplexStationary is raised only if the final size still has one.
+    ComplexStationary is raised only if the final size still has one; its
+    message then also gives the orthogonality loss of the final basis.
     """
     if step_size < 1:
         raise InputError(f"step_size must be >= 1, got {step_size}")
@@ -327,8 +352,13 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
             fact = builder.snapshot()
             try:
                 agg = aggregated_stationary(build_aggregation(fact, p0))
-            except ComplexStationary:
+            except ComplexStationary as exc:
                 if builder.done:
+                    # A basis that lost its orthogonality (plain CGS on an
+                    # ill-conditioned Krylov space) is the usual cause.
+                    loss = orthogonality_loss(fact.basis)
+                    exc.args = (f"{exc}; the size-{fact.size} {method.variant} basis "
+                                f"has orthogonality loss {loss:.3e}",)
                     raise
                 continue
             crit = _relation_criterion(fact, agg.stationary)

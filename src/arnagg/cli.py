@@ -6,9 +6,12 @@ floats at 17 significant digits, so identical configuration and seed give
 byte-identical files apart from wall-time columns.  Exit codes: 0 success,
 2 configuration or validation problems, 3 numerical failures.
 
-``trace`` and ``sweep`` run one job per (sample, size) on a thread pool;
-ARNAGG_THREADS caps how many of those jobs run concurrently.  A sweep row's
-wall_time is the wall time of the one job that produced it.
+``trace`` and ``sweep`` run one job per sample on a thread pool;
+ARNAGG_THREADS caps how many samples run concurrently.  A sweep sample grows
+one Krylov factorization to its largest size, snapshots it at every size and
+walks the chain once for all of them.  A sweep row's wall_time is its
+sample's wall time divided by the number of sizes, so a sample's rows sum to
+its wall time.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ from .aggregate import (
     NEVER,
     TRACE_CSV_HEADER,
     NormalizationPolicy,
+    _error_traces,
     error_trace,
     parse_policy,
     pipeline_dynamic,
     pipeline_naive,
     pipeline_schur,
 )
+from .arnoldi import ArnoldiBuilder, build_aggregation
 from .errors import ComplexStationary, InputError, NumericalError
 from .mchain import (
     FLOAT_FORMAT,
@@ -292,19 +297,15 @@ def _mean_rows(per_sample: list[list[list]]) -> list[list]:
     return out
 
 
-def _run_jobs(cfg: RunConfig, header: str, job_rows) -> int:
-    """Run ``job_rows(cfg, sample, size)`` for every (sample, size) and write the CSVs.
+def _run_jobs(cfg: RunConfig, header: str, sample_rows) -> int:
+    """Run ``sample_rows(cfg, sample)`` for every sample and write the CSVs.
 
-    Jobs run on a thread pool; each sample's rows are joined in size order.
-    One sample writes ``cfg.out``; several write one ``_s###`` file each plus
-    a ``_mean`` file.
+    Samples run on a thread pool.  One sample writes ``cfg.out``; several
+    write one ``_s###`` file each plus a ``_mean`` file.
     """
-    jobs = [(s, j) for s in range(cfg.samples) for j in cfg.sizes]
-    with ThreadPoolExecutor(max_workers=_workers(len(jobs))) as pool:
-        results = list(pool.map(lambda job: job_rows(cfg, *job), jobs))
-    per_sample = [[] for _ in range(cfg.samples)]
-    for (sample, _), rows in zip(jobs, results):
-        per_sample[sample].extend(rows)
+    with ThreadPoolExecutor(max_workers=_workers(cfg.samples)) as pool:
+        per_sample = list(pool.map(lambda sample: sample_rows(cfg, sample),
+                                   range(cfg.samples)))
     if cfg.samples == 1:
         _write_rows(cfg.out, header, per_sample[0])
         print(f"wrote {cfg.out}")
@@ -316,9 +317,9 @@ def _run_jobs(cfg: RunConfig, header: str, job_rows) -> int:
     return EXIT_OK
 
 
-def _trace_rows(cfg: RunConfig, sample: int, size: int) -> list[list]:
+def _trace_rows(cfg: RunConfig, sample: int) -> list[list]:
     p0 = cfg.p0_for_sample(sample)
-    agg = pipeline_naive(cfg.chain, p0, size, method=cfg.method)
+    agg = pipeline_naive(cfg.chain, p0, cfg.sizes[0], method=cfg.method)
     trace = error_trace(cfg.chain, p0, agg, cfg.ks, policy=cfg.policy)
     return [
         [str(int(k)), trace.errors[i], trace.bound_specific[i], trace.bound_general[i]]
@@ -326,20 +327,32 @@ def _trace_rows(cfg: RunConfig, sample: int, size: int) -> list[list]:
     ]
 
 
-def _sweep_rows(cfg: RunConfig, sample: int, size: int) -> list[list]:
+def _sweep_rows(cfg: RunConfig, sample: int) -> list[list]:
     p0 = cfg.p0_for_sample(sample)
     start = time.perf_counter()
-    agg = pipeline_naive(cfg.chain, p0, size, method=cfg.method)
-    # A size whose leading eigenpair is complex has no usable stationary
-    # vector; its criterion is reported as nan instead of aborting the sweep.
-    try:
-        agg = aggregated_stationary(agg)
-    except ComplexStationary:
-        pass
-    trace = error_trace(cfg.chain, p0, agg, cfg.ks, policy=cfg.policy)
-    criterion = float("nan") if trace.criterion is None else trace.criterion
-    wall = time.perf_counter() - start
-    return [[str(size), trace.static_error, criterion, *trace.errors, wall]]
+    # Krylov factorizations nest, so snapshots of one builder give every
+    # size; after a deflation the later sizes get the deflated one, as
+    # pipeline_naive would.
+    builder = ArnoldiBuilder(cfg.chain, p0, cfg.sizes[-1], method=cfg.method)
+    aggs = []
+    for size in cfg.sizes:
+        while builder.size < size and not builder.done:
+            builder.expand()
+        agg = build_aggregation(builder.snapshot(), p0)
+        # A size whose leading eigenpair is complex has no usable stationary
+        # vector; its criterion is reported as nan instead of aborting the sweep.
+        try:
+            agg = aggregated_stationary(agg)
+        except ComplexStationary:
+            pass
+        aggs.append(agg)
+    traces = _error_traces(cfg.chain, p0, aggs, cfg.ks, policy=cfg.policy)
+    wall = (time.perf_counter() - start) / len(cfg.sizes)
+    return [
+        [str(size), trace.static_error,
+         float("nan") if trace.criterion is None else trace.criterion, *trace.errors, wall]
+        for size, trace in zip(cfg.sizes, traces)
+    ]
 
 
 def _cmd_trace(args) -> int:

@@ -9,6 +9,7 @@ and validate their defining invariants on construction.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,19 +312,33 @@ def transient(p_mat: StochasticMatrix, p0, k: int) -> Distribution:
     """k-step transient distribution ``p0 @ P^k``.
 
     Computed as k successive vector-matrix products over two reusable
-    buffers, never through matrix powers.
+    buffers (``_checkpoint_walk``), never through matrix powers.
     """
     if k < 0:
         raise InputError(f"step count must be >= 0, got {k}")
-    v = as_vector(p0).copy()
+    v = as_vector(p0)
     if v.shape[0] != p_mat.n:
         raise DimensionMismatch(f"p0 has length {v.shape[0]}, chain has {p_mat.n} states")
-    buf = np.empty_like(v)
-    for _ in range(k):
-        p_mat.vec_mul(v, out=buf)
-        v, buf = buf, v
     strict = p0.strict if isinstance(p0, Distribution) else True
-    return Distribution(v, strict=strict)
+    return Distribution(next(_checkpoint_walk(p_mat, v, [k])), strict=strict)
+
+
+def _checkpoint_walk(p_mat: StochasticMatrix, p0, ks):
+    """Yield ``p0 @ P^k`` at each of the ascending step counts ``ks``.
+
+    One walk of ``ks[-1]`` vector-matrix products over two reusable
+    buffers.  A yielded vector is one of the buffers, so read it before
+    advancing the walk.
+    """
+    v = as_vector(p0).copy()
+    buf = np.empty_like(v)
+    done = 0
+    for k in ks:
+        for _ in range(k - done):
+            p_mat.vec_mul(v, out=buf)
+            v, buf = buf, v
+        done = k
+        yield v
 
 
 def inf_norm(m) -> float:
@@ -404,51 +419,55 @@ def save_matrix(m, path, fmt: str | None = None) -> None:
 
 
 def _parse_matrixmarket(path):
+    # Streamed line by line into typed arrays: a Python list of boxed
+    # floats costs several times the file size.  The arrays grow as entries
+    # arrive; the declared nnz is untrusted and only checked at the end.
+    rows, cols, vals = array("q"), array("q"), array("d")
     with open(path) as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ParseError(1, "empty file")
-    header = lines[0].strip().split()
-    want = _MM_HEADER.split()
-    if len(header) != len(want) or header[0] != want[0] or [h.lower() for h in header[1:]] != want[1:]:
-        raise ParseError(1, f"unsupported or malformed header {lines[0].strip()!r}")
-    lineno = 1
-    dims = None
-    rows, cols, vals = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        text = line.strip()
-        if not text or text.startswith("%"):
-            continue
-        parts = text.split()
-        if dims is None:
+        first = fh.readline()
+        if not first:
+            raise ParseError(1, "empty file")
+        header = first.strip().split()
+        want = _MM_HEADER.split()
+        if len(header) != len(want) or header[0] != want[0] or [h.lower() for h in header[1:]] != want[1:]:
+            raise ParseError(1, f"unsupported or malformed header {first.strip()!r}")
+        lineno = 1
+        dims = None
+        for lineno, line in enumerate(fh, start=2):
+            text = line.strip()
+            if not text or text.startswith("%"):
+                continue
+            parts = text.split()
+            if dims is None:
+                if len(parts) != 3:
+                    raise ParseError(lineno, "size line must be 'rows cols nnz'")
+                try:
+                    dims = tuple(int(p) for p in parts)
+                except ValueError:
+                    raise ParseError(lineno, f"non-integer size line {text!r}") from None
+                if min(dims) < 0:
+                    raise ParseError(lineno, f"negative size {text!r}")
+                continue
             if len(parts) != 3:
-                raise ParseError(lineno, "size line must be 'rows cols nnz'")
+                raise ParseError(lineno, "entry line must be 'row col value'")
             try:
-                dims = tuple(int(p) for p in parts)
+                i, j = int(parts[0]), int(parts[1])
+                x = float(parts[2])
             except ValueError:
-                raise ParseError(lineno, f"non-integer size line {text!r}") from None
-            if min(dims) < 0:
-                raise ParseError(lineno, f"negative size {text!r}")
-            continue
-        if len(parts) != 3:
-            raise ParseError(lineno, "entry line must be 'row col value'")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            x = float(parts[2])
-        except ValueError:
-            raise ParseError(lineno, f"malformed entry {text!r}") from None
-        if not (1 <= i <= dims[0]) or not (1 <= j <= dims[1]):
-            raise ShapeError(
-                f"entry ({i}, {j}) outside declared {dims[0]}x{dims[1]} shape (line {lineno})"
-            )
-        rows.append(i - 1)
-        cols.append(j - 1)
-        vals.append(x)
+                raise ParseError(lineno, f"malformed entry {text!r}") from None
+            if not (1 <= i <= dims[0]) or not (1 <= j <= dims[1]):
+                raise ShapeError(
+                    f"entry ({i}, {j}) outside declared {dims[0]}x{dims[1]} shape (line {lineno})"
+                )
+            rows.append(i - 1)
+            cols.append(j - 1)
+            vals.append(x)
     if dims is None:
         raise ParseError(lineno, "missing size line")
     if len(vals) != dims[2]:
         raise ShapeError(f"header declares {dims[2]} entries, file has {len(vals)}")
-    return sp.coo_array((vals, (rows, cols)), shape=(dims[0], dims[1])).tocsr()
+    index = (np.frombuffer(rows, dtype=np.int64), np.frombuffer(cols, dtype=np.int64))
+    return sp.coo_array((np.frombuffer(vals), index), shape=(dims[0], dims[1])).tocsr()
 
 
 def _parse_csv_matrix(path):

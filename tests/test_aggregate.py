@@ -1,11 +1,16 @@
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arnagg.aggregate import (
     ALWAYS,
     CONDITIONAL,
     NEVER,
     NormalizationPolicy,
+    _error_traces,
     _relation_criterion,
     aggregated_step,
     approximate,
@@ -34,7 +39,7 @@ from arnagg.mchain import (
     weighted_abs_row_sums,
 )
 from arnagg.models import counterexample, random_chain, random_ncd
-from arnagg.orthonorm import VARIANTS, OrthMethod
+from arnagg.orthonorm import CGS, VARIANTS, OrthMethod, orthogonality_loss
 from arnagg.schur import aggregated_stationary
 
 from oracles import power_iteration_stationary, transient_by_power
@@ -273,6 +278,76 @@ class TestErrorTrace:
         assert float(row[3]) == tr.bound_general[1]
 
 
+@st.composite
+def shared_walk_cases(draw):
+    """A chain, a start vector, nested aggregations of it, step counts and a policy."""
+    n = draw(st.integers(2, 16))
+    seed = draw(st.integers(0, 2**32 - 1))
+    p = random_chain(n, draw(st.sampled_from([0.2, 0.5, 1.0])), seed=seed,
+                     sparse=draw(st.booleans()))
+    start = draw(st.sampled_from(["random", "uniform", "point"]))
+    if start == "random":
+        p0 = Distribution.random(n, seed=seed + 1)
+    elif start == "uniform":
+        p0 = Distribution.uniform(n)
+    else:
+        p0 = Distribution.point(n, draw(st.integers(0, n - 1)))
+    sizes = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=5)))
+    method = OrthMethod(draw(st.sampled_from(VARIANTS)))
+    # Snapshots of one builder, as arnagg sweep takes them; a size past a
+    # deflation gets the deflated aggregation.
+    builder = ArnoldiBuilder(p, p0, sizes[-1], method=method)
+    aggs = []
+    for size in sizes:
+        while builder.size < size and not builder.done:
+            builder.expand()
+        agg = build_aggregation(builder.snapshot(), p0)
+        try:
+            agg = aggregated_stationary(agg)
+        except ComplexStationary:
+            pass
+        aggs.append(agg)
+    ks = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=6)))
+    policy = draw(st.sampled_from([NEVER, CONDITIONAL, ALWAYS]))
+    return p, p0, aggs, ks, policy
+
+
+class TestErrorTraces:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(shared_walk_cases())
+    def test_shared_walk_matches_one_trace_per_aggregation(self, case):
+        p, p0, aggs, ks, policy = case
+        try:
+            expected = [error_trace(p, p0, agg, ks, policy=policy) for agg in aggs]
+        except ZeroVector:
+            with pytest.raises(ZeroVector):
+                _error_traces(p, p0, aggs, ks, policy=policy)
+            return
+        got = _error_traces(p, p0, aggs, ks, policy=policy)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            for name in ("steps", "errors", "bound_specific", "bound_general"):
+                assert getattr(g, name).tobytes() == getattr(e, name).tobytes(), name
+            for name in ("static_error", "criterion", "stationary_residual"):
+                assert getattr(g, name) == getattr(e, name), name
+
+    def test_one_defect_alive_at_a_time(self, monkeypatch):
+        p = random_chain(40, 0.3, seed=81)
+        p0 = Distribution.random(40, seed=82)
+        aggs = [pipeline_naive(p, p0, j) for j in (3, 6, 9)]
+        defects, alive_before = [], []
+
+        def recording(p_mat, agg):
+            alive_before.append(sum(ref() is not None for ref in defects))
+            defect = exactness_defect(p_mat, agg)
+            defects.append(weakref.ref(defect))
+            return defect
+
+        monkeypatch.setattr("arnagg.aggregate.exactness_defect", recording)
+        _error_traces(p, p0, aggs, [0, 5])
+        assert alive_before == [0, 0, 0]
+
+
 class TestConvergenceCriterion:
     def test_exact_full_aggregation(self):
         p = random_chain(10, 1.0, seed=81)
@@ -428,6 +503,19 @@ class TestPipelineDynamic:
         fact = arnoldi_iterate(p, p0, agg.size)
         slack = np.abs(agg.stationary).sum() * relation_residual(fact, p)
         assert abs(agg.criterion - convergence_criterion(p, agg)) <= slack + 1e-15
+
+    def test_final_complex_size_names_the_orthogonality_loss(self):
+        # Plain CGS loses orthogonality completely on this chain, and the
+        # size-60 step matrix has a complex leading eigenpair.
+        p = random_ncd(6, 10, 1e-3, seed=[1, 0])
+        p0 = Distribution.random(p.n, seed=[1, 3])
+        with pytest.raises(ComplexStationary) as err:
+            pipeline_dynamic(p, p0, p.n, 1e-8, method=CGS)
+        loss = orthogonality_loss(arnoldi_iterate(p, p0, p.n, method=CGS).basis)
+        assert loss > 0.5
+        message = str(err.value)
+        assert f"imaginary mass {err.value.imag_magnitude:.3e}" in message
+        assert f"size-60 cgs basis has orthogonality loss {loss:.3e}" in message
 
     def test_parameter_validation(self):
         p, p0 = counterexample(0.5)

@@ -3,9 +3,11 @@ import pytest
 
 from arnagg import cli
 from arnagg.aggregate import error_trace, format_trace_csv, pipeline_naive, pipeline_schur
+from arnagg.arnoldi import ArnoldiBuilder
 from arnagg.errors import ComplexStationary
 from arnagg.mchain import (
     Distribution,
+    StochasticMatrix,
     load_distribution,
     load_matrix,
     save_distribution,
@@ -268,20 +270,53 @@ class TestSweep:
                 "--ks", "5", "--seed", 9]
         assert run(*args, "--out", out) == 0
         complex_at(monkeypatch, 3)
-        krylov_runs = []
+        builders, expansions = [], []
 
-        def counting_naive(*a, **kw):
-            krylov_runs.append(a[2])
-            return pipeline_naive(*a, **kw)
+        class CountingBuilder(ArnoldiBuilder):
+            def __init__(self, *a, **kw):
+                super().__init__(*a, **kw)
+                builders.append(self.max_size)
 
-        monkeypatch.setattr(cli, "pipeline_naive", counting_naive)
+            def expand(self):
+                expansions.append(self.size + 1)
+                super().expand()
+
+        monkeypatch.setattr(cli, "ArnoldiBuilder", CountingBuilder)
         forced = tmp_path / "forced.csv"
         assert run(*args, "--out", forced) == 0
-        assert sorted(krylov_runs) == [2, 3, 4]
+        assert builders == [4]
+        assert expansions == [1, 2, 3, 4]
         (_, plain), (_, rows) = read_csv(out), read_csv(forced)
         assert [r[2] for r in rows] == [plain[0][2], "nan", plain[2][2]]
         assert float(plain[1][2]) >= 0.0
         assert [r[:2] + r[3:-1] for r in rows] == [r[:2] + r[3:-1] for r in plain]
+
+    def test_sample_walks_the_chain_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = StochasticMatrix.vec_mul
+
+        def counting(self, v, out=None):
+            calls.append(1)
+            return real(self, v, out=out)
+
+        monkeypatch.setattr(StochasticMatrix, "vec_mul", counting)
+        out = tmp_path / "sw.csv"
+        assert run("sweep", "--gen", "random:n=30,density=0.3", "--p0", "random",
+                   "--sizes", "2,5,9,12", "--ks", "10,40", "--samples", 2, "--seed", 4,
+                   "--out", out) == 0
+        with_stationary = sum(
+            r[2] != "nan" for i in range(2) for r in read_csv(tmp_path / f"sw_s{i:03d}.csv")[1]
+        )
+        # Per sample: 12 Krylov steps and one 40-step walk; plus one
+        # stationary-residual product per size with a stationary vector.
+        assert len(calls) == 2 * (12 + 40) + with_stationary
+
+    def test_wall_time_is_amortised_over_sizes(self, tmp_path):
+        out = tmp_path / "sw.csv"
+        assert run("sweep", "--gen", "random:n=12", "--p0", "random", "--sizes", "1..6",
+                   "--ks", "5", "--seed", 9, "--out", out) == 0
+        walls = {r[-1] for r in read_csv(out)[1]}
+        assert len(walls) == 1 and float(walls.pop()) > 0.0
 
     def test_byte_identical_apart_from_wall_time(self, tmp_path):
         outs = []
@@ -295,11 +330,15 @@ class TestSweep:
         assert outs[0] == outs[1]
 
 
+def two_three_cycles():
+    """A 6-state chain of two 3-cycles: every Krylov basis deflates at size 3."""
+    return StochasticMatrix(np.eye(6)[[1, 2, 0, 4, 5, 3]])
+
+
 class TestRunnerMatchesLibrary:
     """trace and sweep write what the per-size library calls give, sample by sample."""
 
-    N, SEED, KS, SIZES, COMPLEX_SIZE = 14, 21, [0, 3, 8], [2, 5, 8, 11], 8
-    TRACE_SIZE = 5
+    SEED, KS, TRACE_SIZE = 21, [0, 3, 8], 5
 
     @staticmethod
     def expected_files(stem, header, rows_by_sample):
@@ -321,11 +360,12 @@ class TestRunnerMatchesLibrary:
         agg = pipeline_naive(p, p0, self.TRACE_SIZE, method=method)
         return error_trace(p, p0, agg, self.KS)
 
-    def library_sweep_rows(self, p, p0, method):
+    def library_sweep_rows(self, p, p0, method, sizes, complex_size):
         rows = []
-        for j in self.SIZES:
-            if j == self.COMPLEX_SIZE:
-                trace = error_trace(p, p0, pipeline_naive(p, p0, j, method=method), self.KS)
+        for j in sizes:
+            agg = pipeline_naive(p, p0, j, method=method)
+            if agg.size == complex_size:
+                trace = error_trace(p, p0, agg, self.KS)
                 criterion = np.nan
             else:
                 trace = error_trace(p, p0, pipeline_schur(p, p0, j, method=method), self.KS)
@@ -336,17 +376,31 @@ class TestRunnerMatchesLibrary:
     @pytest.mark.parametrize("samples", [1, 3])
     @pytest.mark.parametrize("method", ["cgs", "mgs2"])
     def test_files_match_per_size_library_path(self, tmp_path, monkeypatch, method, samples):
+        self.check_files(tmp_path, monkeypatch, method, samples,
+                         random_chain(14, density=0.6, seed=5), [2, 5, 8, 11], 8)
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    @pytest.mark.parametrize("method", ["cgs", "mgs2"])
+    def test_deflating_chain_files_match_per_size_library_path(self, tmp_path, monkeypatch,
+                                                               method, samples):
+        # The basis deflates at size 3, below the largest size; the forced
+        # complex size is the deflated aggregation that sizes 4 and 6 both get.
+        self.check_files(tmp_path, monkeypatch, method, samples,
+                         two_three_cycles(), [2, 4, 6], 3)
+
+    def check_files(self, tmp_path, monkeypatch, method, samples, chain_matrix, sizes,
+                    complex_size):
         chain = tmp_path / "chain.mtx"
-        save_matrix(random_chain(self.N, density=0.6, seed=5), chain)
+        save_matrix(chain_matrix, chain)
         p = load_matrix(chain)
-        starts = [Distribution.random(self.N, seed=[self.SEED, i]) for i in range(samples)]
+        starts = [Distribution.random(p.n, seed=[self.SEED, i]) for i in range(samples)]
         m = parse_method(method)
         common = ["--input", chain, "--p0", "random", "--method", method,
                   "--ks", ",".join(map(str, self.KS)), "--samples", samples,
                   "--seed", self.SEED]
-        complex_at(monkeypatch, self.COMPLEX_SIZE)
+        complex_at(monkeypatch, complex_size)
         assert run("trace", *common, "--size", self.TRACE_SIZE, "--out", tmp_path / "tr.csv") == 0
-        assert run("sweep", *common, "--sizes", ",".join(map(str, self.SIZES)),
+        assert run("sweep", *common, "--sizes", ",".join(map(str, sizes)),
                    "--out", tmp_path / "sw.csv") == 0
 
         traces = [self.library_trace(p, p0, m) for p0 in starts]
@@ -359,8 +413,8 @@ class TestRunnerMatchesLibrary:
             + ",".join(f"e_k_{k}" for k in self.KS) + ",wall_time"
         expected = {
             **self.expected_files("tr", "k,e_k,bound_specific,bound_general", trace_rows),
-            **self.expected_files("sw", sweep_header,
-                                  [self.library_sweep_rows(p, p0, m) for p0 in starts]),
+            **self.expected_files("sw", sweep_header, [
+                self.library_sweep_rows(p, p0, m, sizes, complex_size) for p0 in starts]),
         }
         assert {f.name for f in tmp_path.glob("*.csv")} == set(expected)
         for name, text in expected.items():

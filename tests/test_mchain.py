@@ -16,6 +16,7 @@ from arnagg.mchain import (
     Distribution,
     GeneratorMatrix,
     StochasticMatrix,
+    _checkpoint_walk,
     inf_norm,
     load_distribution,
     load_matrix,
@@ -200,6 +201,15 @@ class TestTransient:
         with pytest.raises(InputError):
             transient(p, Distribution.uniform(3), -1)
 
+    def test_checkpoint_walk_yields_transient_at_each_step_count(self):
+        p = random_chain(30, 0.3, seed=13, sparse=True)
+        d = Distribution.random(30, seed=14)
+        ks = [0, 1, 7, 20]
+        walked = [v.copy() for v in _checkpoint_walk(p, d, ks)]
+        for k, v in zip(ks, walked):
+            assert np.array_equal(v, transient(p, d, k).values)
+        assert np.array_equal(d.values, Distribution.random(30, seed=14).values)
+
     def test_one_step_of_strict_distribution_stays_strict(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 40))
@@ -295,6 +305,15 @@ class TestMatrixIO:
             "%%MatrixMarket matrix coordinate real general\n3 3 1\n3 4 1.0\n"
         )
         with pytest.raises(ShapeError):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("declared", [1, 3], ids=["more_than_declared", "fewer_than_declared"])
+    def test_entry_count_must_match_declared_nnz(self, tmp_path, declared):
+        path = tmp_path / "bad.mtx"
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate real general\n2 2 {declared}\n1 1 1.0\n2 2 1.0\n"
+        )
+        with pytest.raises(ShapeError, match=f"declares {declared} entries, file has 2"):
             load_matrix(path)
 
     def test_ragged_csv_is_shape_error(self, tmp_path):
