@@ -324,6 +324,30 @@ def _relation_criterion(fact: ArnoldiFactorization, stationary: np.ndarray) -> f
                  * np.abs(fact.residual_direction).sum())
 
 
+def _estimated_criterion(fact: ArnoldiFactorization, x: np.ndarray) -> float | None:
+    """``_relation_criterion`` after two inverse-iteration steps on ``H^T - I`` from ``x``.
+
+    Shift 1 is the known eigenvalue (Golub & Van Loan, section 7.6).  A
+    finite iterate overwrites ``x`` as the next warm start.  None when a
+    solve fails or ``|x_j|`` moved by more than half over the second step.
+    """
+    shifted = fact.hessenberg.T - np.eye(fact.size)
+    try:
+        with np.errstate(all="ignore"):
+            y = np.linalg.solve(shifted, x)
+            y /= np.sqrt(y @ y)
+            z = np.linalg.solve(shifted, y)
+            z /= np.sqrt(z @ z)
+            estimate = _relation_criterion(fact, z / np.abs(z @ fact.basis).sum())
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(z).all():
+        return None
+    x[:] = z
+    settled = abs(abs(z[-1]) - abs(y[-1])) <= 0.5 * abs(y[-1])
+    return estimate if settled and np.isfinite(estimate) else None
+
+
 def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
                      step_size: int = 1, method: OrthMethod = CGSIR) -> Aggregation:
     """Grow the aggregation until the convergence criterion drops below epsilon.
@@ -332,9 +356,11 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     deflation, and at ``max_size``, on the stationary vector of the current
     step matrix (LAPACK ``geev``) and read off the Arnoldi relation in O(n)
     (see ``_relation_criterion``); the first size passing
-    ``criterion <= epsilon`` wins, else the final size is returned.  The
-    result carries its stationary vector and criterion, and its arrays are
-    read-only views of the builder's storage.
+    ``criterion <= epsilon`` wins, else the final size is returned.  ``geev``
+    runs only where a size can stop: where the warm-started inverse-iteration
+    estimate (``_estimated_criterion``) is missing or within ``100 * epsilon``,
+    and at the last size.  The result carries its stationary vector and
+    criterion, and its arrays are read-only views of the builder's storage.
 
     A truncated step matrix can transiently have a complex leading
     eigenpair mid-growth; such sizes simply cannot stop the iteration.
@@ -346,10 +372,16 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     if not 0.0 < epsilon < np.inf:
         raise InputError(f"epsilon must be positive and finite, got {epsilon!r}")
     builder = ArnoldiBuilder(p_mat, p0, max_size, method=method)
+    warm = np.zeros(max_size)  # inverse-iteration warm start, zero-padded
+    warm[0] = 1.0
     while True:
         builder.expand()
         if builder.size % step_size == 0 or builder.done:
             fact = builder.snapshot()
+            estimate = _estimated_criterion(fact, warm[:fact.size])
+            # A size whose estimate is far above epsilon cannot stop the loop.
+            if estimate is not None and estimate > 100.0 * epsilon and not builder.done:
+                continue
             try:
                 agg = aggregated_stationary(build_aggregation(fact, p0))
             except ComplexStationary as exc:

@@ -386,6 +386,10 @@ def weighted_abs_row_sums(v, m) -> float:
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
+# Rows and columns beyond the entry count are backed by nothing in the file;
+# capping them keeps a bad size line from sizing tocsr()'s row pointer.
+_MM_UNBACKED_MAX = 1 << 24
+
 
 def _detect_format(path, fmt):
     if fmt is not None:
@@ -447,6 +451,9 @@ def _parse_matrixmarket(path):
                     raise ParseError(lineno, f"non-integer size line {text!r}") from None
                 if min(dims) < 0:
                     raise ParseError(lineno, f"negative size {text!r}")
+                if max(dims) > np.iinfo(np.int64).max or max(dims[:2]) > dims[2] + _MM_UNBACKED_MAX:
+                    raise ShapeError(f"size line {text!r} (line {lineno}) must fit 64-bit indices "
+                                     f"and exceed its entry count by at most {_MM_UNBACKED_MAX}")
                 continue
             if len(parts) != 3:
                 raise ParseError(lineno, "entry line must be 'row col value'")

@@ -4,11 +4,21 @@ Everything here deliberately avoids the code paths under test: transient
 distributions come from explicit matrix powers, eigenvalues from
 characteristic polynomials built with the trace recursion, stationary
 vectors from plain power iteration, and conditioning from numpy's SVD.
+The one exception is ``dynamic_geev_every_size``, the library's own
+dynamic loop before it skipped sizes, kept as the reference for that
+optimisation.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
+
+from arnagg.aggregate import _relation_criterion
+from arnagg.arnoldi import ArnoldiBuilder, build_aggregation
+from arnagg.errors import ComplexStationary
+from arnagg.orthonorm import CGSIR, orthogonality_loss
+from arnagg.schur import aggregated_stationary
 
 
 def transient_by_power(p_dense: np.ndarray, p0: np.ndarray, k: int) -> np.ndarray:
@@ -78,3 +88,29 @@ def krylov_matrix(p_dense: np.ndarray, p0: np.ndarray, count: int) -> np.ndarray
         rows[i] = v
         v = v @ p_dense
     return rows
+
+
+def dynamic_geev_every_size(p_mat, p0, max_size, epsilon, step_size=1, method=CGSIR):
+    """``pipeline_dynamic`` with LAPACK ``geev`` at every checked size.
+
+    The pipeline skips ``geev`` at sizes whose inverse-iteration criterion
+    estimate is far above epsilon; its stop size, stationary vector,
+    criterion and ``ComplexStationary`` must equal this loop's bit for bit.
+    """
+    builder = ArnoldiBuilder(p_mat, p0, max_size, method=method)
+    while True:
+        builder.expand()
+        if builder.size % step_size == 0 or builder.done:
+            fact = builder.snapshot()
+            try:
+                agg = aggregated_stationary(build_aggregation(fact, p0))
+            except ComplexStationary as exc:
+                if builder.done:
+                    loss = orthogonality_loss(fact.basis)
+                    exc.args = (f"{exc}; the size-{fact.size} {method.variant} basis "
+                                f"has orthogonality loss {loss:.3e}",)
+                    raise
+                continue
+            crit = _relation_criterion(fact, agg.stationary)
+            if crit <= epsilon or builder.done:
+                return replace(agg, criterion=crit)

@@ -2,15 +2,17 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from arnagg.aggregate import (
     ALWAYS,
     CONDITIONAL,
     NEVER,
+    ErrorTrace,
     NormalizationPolicy,
     _error_traces,
+    _estimated_criterion,
     _relation_criterion,
     aggregated_step,
     approximate,
@@ -23,7 +25,13 @@ from arnagg.aggregate import (
     pipeline_naive,
     pipeline_schur,
 )
-from arnagg.arnoldi import ArnoldiBuilder, arnoldi_iterate, build_aggregation, relation_residual
+from arnagg.arnoldi import (
+    ArnoldiBuilder,
+    ArnoldiFactorization,
+    arnoldi_iterate,
+    build_aggregation,
+    relation_residual,
+)
 from arnagg.errors import (
     ComplexStationary,
     DimensionMismatch,
@@ -39,10 +47,10 @@ from arnagg.mchain import (
     weighted_abs_row_sums,
 )
 from arnagg.models import counterexample, random_chain, random_ncd
-from arnagg.orthonorm import CGS, VARIANTS, OrthMethod, orthogonality_loss
+from arnagg.orthonorm import CGS, CGSIR, VARIANTS, OrthMethod, orthogonality_loss
 from arnagg.schur import aggregated_stationary
 
-from oracles import power_iteration_stationary, transient_by_power
+from oracles import dynamic_geev_every_size, power_iteration_stationary, transient_by_power
 
 
 def smallest_passing_size(p, p0, eps, max_size):
@@ -278,6 +286,16 @@ class TestErrorTrace:
         assert float(row[3]) == tr.bound_general[1]
 
 
+def draw_start(draw, n, seed):
+    """A random (seeded), uniform or point start vector of length n."""
+    start = draw(st.sampled_from(["random", "uniform", "point"]))
+    if start == "random":
+        return Distribution.random(n, seed=seed)
+    if start == "uniform":
+        return Distribution.uniform(n)
+    return Distribution.point(n, draw(st.integers(0, n - 1)))
+
+
 @st.composite
 def shared_walk_cases(draw):
     """A chain, a start vector, nested aggregations of it, step counts and a policy."""
@@ -285,13 +303,7 @@ def shared_walk_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     p = random_chain(n, draw(st.sampled_from([0.2, 0.5, 1.0])), seed=seed,
                      sparse=draw(st.booleans()))
-    start = draw(st.sampled_from(["random", "uniform", "point"]))
-    if start == "random":
-        p0 = Distribution.random(n, seed=seed + 1)
-    elif start == "uniform":
-        p0 = Distribution.uniform(n)
-    else:
-        p0 = Distribution.point(n, draw(st.integers(0, n - 1)))
+    p0 = draw_start(draw, n, seed + 1)
     sizes = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=5)))
     method = OrthMethod(draw(st.sampled_from(VARIANTS)))
     # Snapshots of one builder, as arnagg sweep takes them; a size past a
@@ -310,6 +322,27 @@ def shared_walk_cases(draw):
     ks = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=6)))
     policy = draw(st.sampled_from([NEVER, CONDITIONAL, ALWAYS]))
     return p, p0, aggs, ks, policy
+
+
+@st.composite
+def bound_cases(draw):
+    """A chain, a start vector, an aggregation size and method, step counts."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        p = random_chain(draw(st.integers(2, 40)), draw(st.floats(0.02, 1.0)), seed=seed,
+                         sparse=draw(st.booleans()))
+    else:
+        p = random_ncd(draw(st.integers(2, 5)), draw(st.integers(2, 8)),
+                       draw(st.sampled_from([1e-2, 1e-4, 1e-6])), seed=seed)
+    p0 = draw_start(draw, p.n, seed + 1)
+    method = OrthMethod(draw(st.sampled_from(VARIANTS)))
+    size = draw(st.integers(1, p.n))
+    return p, p0, size, method, sorted(draw(st.sets(st.integers(0, 300), min_size=1, max_size=8)))
+
+
+def bound_case_trace(case) -> ErrorTrace:
+    p, p0, size, method, ks = case
+    return error_trace(p, p0, pipeline_naive(p, p0, size, method=method), ks)
 
 
 class TestErrorTraces:
@@ -346,6 +379,32 @@ class TestErrorTraces:
         monkeypatch.setattr("arnagg.aggregate.exactness_defect", recording)
         _error_traces(p, p0, aggs, [0, 5])
         assert alive_before == [0, 0, 0]
+
+
+class TestBoundChainProperty:
+    """Acceptance criterion 4's chain of bounds, with its tolerances, beyond its seeds."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(bound_cases())
+    def test_error_below_specific_bound(self, case):
+        tr = bound_case_trace(case)
+        assert np.all(tr.errors <= tr.bound_specific + 1e-8)
+
+    # P = [[0, 1], [0, 1]] from (0.36, 0.64): the size-1 step matrix is
+    # [[1.187]], so both bounds are the same geometric sum, 5.2e11 at k=150.
+    COINCIDING_BOUNDS = (validate_stochastic(np.array([[0.0, 1.0], [0.0, 1.0]])),
+                         Distribution(np.array([0.36, 0.64])), 1, CGSIR, [150])
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: where the two bounds coincide mathematically and grow large, "
+        "rounding puts bound_specific above bound_general by more than 1e-6"))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              phases=[Phase.explicit, Phase.generate])
+    @example(COINCIDING_BOUNDS)
+    @given(bound_cases())
+    def test_specific_below_general_bound(self, case):
+        tr = bound_case_trace(case)
+        assert np.all(tr.bound_specific + 1e-8 <= tr.bound_general + 1e-6)
 
 
 class TestConvergenceCriterion:
@@ -452,6 +511,109 @@ class TestPipelines:
         pd = p.toarray()
         assert np.abs(image - image @ pd).sum() <= 1e-8
         assert np.abs(image - power_iteration_stationary(pd)).sum() <= 1e-6
+
+
+def estimate_pool():
+    """NCD chains at couplings 1e-3 and 1e-4, plus a 3-cycle that deflates.
+
+    Coupling 1e-12 puts six eigenvalues of the chain within about 1e-12 of 1,
+    so ``H^T - I`` is nearly singular in several directions; RuntimeWarning
+    is an error in this suite.
+    """
+    cycle = np.zeros((6, 6))
+    cycle[0, 1] = cycle[1, 2] = cycle[2, 0] = 1.0
+    cycle[3:, 3:] = 1.0 / 3.0
+    near_singular = random_ncd(6, 10, 1e-12, seed=[7, 2])
+    pool = [(validate_stochastic(cycle), Distribution.point(6, 0), 1e-8),
+            (near_singular, Distribution.random(60, seed=[8, 2]), 1e-8)]
+    for coupling in (1e-3, 1e-4):
+        for c in range(2):
+            p = random_ncd(6, 10, coupling, seed=[7, c])
+            pool.append((p, Distribution.random(p.n, seed=[8, c]), 1e-8))
+    return pool
+
+
+def dynamic_outcome(run, *args, **kwargs):
+    try:
+        agg = run(*args, **kwargs)
+    except ComplexStationary as exc:
+        return str(exc)
+    return agg.size, agg.stationary, agg.criterion
+
+
+class TestCriterionEstimate:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("step_size", [1, 3])
+    def test_pipeline_matches_geev_at_every_size(self, variant, step_size):
+        for p, p0, eps in estimate_pool():
+            args = (p, p0, p.n, eps)
+            kwargs = dict(step_size=step_size, method=OrthMethod(variant))
+            got = dynamic_outcome(pipeline_dynamic, *args, **kwargs)
+            want = dynamic_outcome(dynamic_geev_every_size, *args, **kwargs)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+    def count_geev(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(len(a)) or eig(a))
+        return calls
+
+    def test_geev_only_near_the_stop_size(self, monkeypatch):
+        p = random_ncd(6, 10, 1e-3, seed=[1, 0])
+        p0 = Distribution.random(p.n, seed=[1, 1])
+        calls = self.count_geev(monkeypatch)
+        agg = pipeline_dynamic(p, p0, p.n, 1e-8)
+        assert agg.size >= 30
+        assert calls[-1] == agg.size
+        assert len(calls) <= agg.size // 5
+
+    def test_failed_solves_fall_back_to_geev_everywhere(self, monkeypatch):
+        p = random_ncd(6, 10, 1e-4, seed=[7, 1])
+        p0 = Distribution.random(p.n, seed=[8, 1])
+        want = dynamic_geev_every_size(p, p0, p.n, 1e-8, step_size=2)
+        calls = self.count_geev(monkeypatch)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.inf))
+        got = pipeline_dynamic(p, p0, p.n, 1e-8, step_size=2)
+        assert calls == list(range(2, want.size + 1, 2))
+        assert np.array_equal(got.stationary, want.stationary)
+        assert got.criterion == want.criterion
+
+    @staticmethod
+    def factorization(hessenberg):
+        j = len(hessenberg)
+        return ArnoldiFactorization(basis=np.eye(j), hessenberg=np.array(hessenberg),
+                                    residual_norm=0.5, residual_direction=np.ones(j),
+                                    deflated=False)
+
+    @pytest.mark.parametrize("hessenberg", [
+        [[1.0, 0.0], [0.0, 0.5]],                        # H^T - I exactly singular
+        [[1.0 + 2.0 ** -52, 0.0], [1e300, 1.0 + 2.0 ** -52]],  # the solve overflows
+    ], ids=["singular", "overflow"])
+    def test_near_singular_shift_gives_no_estimate(self, hessenberg):
+        # RuntimeWarning is an error in this suite, so this also checks silence.
+        warm = np.array([0.6, 0.8])
+        assert _estimated_criterion(self.factorization(hessenberg), warm) is None
+        assert np.array_equal(warm, [0.6, 0.8])
+
+    def test_unsettled_iteration_gives_no_estimate(self):
+        # Left eigenvalues 0.99 and 0.97: |x_2| shrinks threefold a step.
+        warm = np.array([1.0, 0.1])
+        assert _estimated_criterion(self.factorization([[0.99, 0.0], [0.0, 0.97]]), warm) is None
+        assert warm[1] == pytest.approx(0.1 / 9, rel=1e-2)
+
+    def test_estimate_is_the_criterion_of_the_iterate(self):
+        # Left eigenvalues 0.973 and 0.627: two steps from e_1 nearly converge.
+        fact = self.factorization([[0.9, 0.1], [0.2, 0.7]])
+        warm = np.array([1.0, 0.0])
+        estimate = _estimated_criterion(fact, warm)
+        pi = aggregated_stationary(build_aggregation(fact, [1.0, 0.0])).stationary
+        assert abs(warm @ pi) / np.linalg.norm(pi) > 0.999
+        assert estimate == _relation_criterion(fact, warm / np.abs(warm).sum())
 
 
 class TestPipelineDynamic:

@@ -119,6 +119,19 @@ class TestAggregate:
         assert "not finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("agg*"))
 
+    @pytest.mark.parametrize("body", [
+        "3000000000 3000000000 1\n1 1 1.0\n",
+        "99999999999999999999 99999999999999999999 1\n99999999999999999999 1 1.0\n",
+        "99999999999999999999 99999999999999999999 99999999999999999999\n1 1 1.0\n",
+    ], ids=["shape_beyond_entries", "index_beyond_int64", "entry_count_beyond_int64"])
+    def test_untrusted_size_line_exits_2(self, tmp_path, capsys, body):
+        ppath = tmp_path / "p.mtx"
+        ppath.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
+        assert run("aggregate", "--input", ppath, "--p0", "uniform", "--size", 1,
+                   "--out", tmp_path / "agg") == 2
+        assert "size line" in capsys.readouterr().err
+        assert not list(tmp_path.glob("agg*"))
+
     def test_non_integer_point_index_exits_2(self, tmp_path, capsys):
         assert run("aggregate", "--gen", "random:n=6,density=0.5", "--p0", "point:abc",
                    "--size", 3, "--out", tmp_path / "agg") == 2

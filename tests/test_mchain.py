@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arnagg.errors import (
     DimensionMismatch,
@@ -28,7 +30,7 @@ from arnagg.mchain import (
     validate_stochastic,
     weighted_abs_row_sums,
 )
-from arnagg.models import counterexample, random_chain
+from arnagg.models import counterexample, random_chain, random_ncd
 
 from oracles import transient_by_power
 
@@ -277,6 +279,19 @@ class TestStorageEquivalence:
         assert np.array_equal(v @ p, v)
 
 
+@st.composite
+def chains(draw):
+    """Dense or CSR chains: random ones of any density, or nearly decoupled ones."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    sparse = draw(st.booleans())
+    if draw(st.booleans()):
+        return random_chain(draw(st.integers(1, 30)), draw(st.floats(0.01, 1.0)),
+                            seed=seed, sparse=sparse)
+    p = random_ncd(draw(st.integers(1, 4)), draw(st.integers(1, 6)),
+                   draw(st.sampled_from([1e-2, 1e-4, 1e-8])), seed=seed)
+    return StochasticMatrix(sp.csr_array(p.raw)) if sparse else p
+
+
 class TestMatrixIO:
     def test_matrixmarket_round_trip_is_bit_identical(self, tmp_path):
         p, _ = counterexample(0.1)
@@ -284,6 +299,15 @@ class TestMatrixIO:
         save_matrix(p, path)
         again = load_matrix(path)
         assert np.array_equal(again.toarray(), p.toarray())
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(chains(), st.sampled_from(["mtx", "csv"]))
+    def test_save_load_round_trips_generated_chains(self, tmp_path_factory, p, suffix):
+        path = tmp_path_factory.mktemp("round_trip") / f"p.{suffix}"
+        save_matrix(p, path)
+        again = load_matrix(path)
+        assert again.is_sparse == (suffix == "mtx")
+        assert again.toarray().tobytes() == p.toarray().tobytes()
 
     def test_csv_round_trip_is_bit_identical(self, tmp_path):
         p = random_chain(7, 0.5, seed=19)
