@@ -9,7 +9,7 @@ and validate their defining invariants on construction.
 
 from __future__ import annotations
 
-from array import array
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +31,6 @@ GENERATOR_TOL = 1e-10
 
 # Full round-trip precision for float64 text serialization.
 FLOAT_FORMAT = "%.17g"
-
-
-def _is_sparse(m) -> bool:
-    return sp.issparse(m)
 
 
 def _unwrap(m):
@@ -69,7 +65,7 @@ class _MatrixBase:
 
     @property
     def is_sparse(self) -> bool:
-        return _is_sparse(self._m)
+        return sp.issparse(self._m)
 
     @property
     def shape(self):
@@ -138,7 +134,7 @@ class StochasticMatrix(_MatrixBase):
 
     def __init__(self, m, tol: float = STOCHASTIC_TOL):
         m = _unwrap(m)
-        if not _is_sparse(m):
+        if not sp.issparse(m):
             m = np.array(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"transition matrix must be square, got {m.shape}")
@@ -157,12 +153,12 @@ class GeneratorMatrix(_MatrixBase):
 
     def __init__(self, m, tol: float = GENERATOR_TOL):
         m = _unwrap(m)
-        if not _is_sparse(m):
+        if not sp.issparse(m):
             m = np.array(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"generator matrix must be square, got {m.shape}")
         _validate_entries_finite(m)
-        if _is_sparse(m):
+        if sp.issparse(m):
             coo = m.tocoo()
             coo.sum_duplicates()  # row-major order, as np.nonzero gives on the dense path
             neg = np.nonzero((coo.row != coo.col) & (coo.data < -tol))[0]
@@ -188,9 +184,9 @@ class GeneratorMatrix(_MatrixBase):
 
 
 def _validate_entries_finite(m):
-    if np.isfinite(m.data if _is_sparse(m) else m).all():
+    if np.isfinite(m.data if sp.issparse(m) else m).all():
         return
-    if _is_sparse(m):
+    if sp.issparse(m):
         coo = m.tocoo()
         k = int(np.argmin(np.isfinite(coo.data)))
         r, c, x = coo.row[k], coo.col[k], coo.data[k]
@@ -201,7 +197,7 @@ def _validate_entries_finite(m):
 
 
 def _validate_entries_nonnegative(m, tol):
-    if _is_sparse(m):
+    if sp.issparse(m):
         data = m.data
         if data.size and data.min() < -tol:
             coo = m.tocoo()
@@ -214,7 +210,7 @@ def _validate_entries_nonnegative(m, tol):
 
 
 def _clamp_small_negatives(m, tol):
-    if _is_sparse(m):
+    if sp.issparse(m):
         m = m.tocsr().copy()
         mask = (m.data > -tol) & (m.data < 0.0)
         if mask.any():
@@ -344,7 +340,7 @@ def _checkpoint_walk(p_mat: StochasticMatrix, p0, ks):
 def inf_norm(m) -> float:
     """Maximum absolute row sum norm."""
     m = _unwrap(m)
-    if _is_sparse(m):
+    if sp.issparse(m):
         if m.shape[0] == 0:
             return 0.0
         return float(np.max(np.asarray(abs(m).sum(axis=1)).ravel()))
@@ -357,7 +353,7 @@ def inf_norm(m) -> float:
 def abs_row_sums(m) -> np.ndarray:
     """Vector of row sums of ``|M|``, i.e. ``|M| @ 1``."""
     m = _unwrap(m)
-    if _is_sparse(m):
+    if sp.issparse(m):
         return np.asarray(abs(m).sum(axis=1)).ravel()
     return np.abs(np.asarray(m)).sum(axis=1)
 
@@ -382,6 +378,13 @@ def weighted_abs_row_sums(v, m) -> float:
 # indices) and dense CSV with one matrix row per line.  Distributions are
 # single-column CSV.  All floats are written with 17 significant digits so
 # that load(save(M)) reproduces M bit for bit.
+#
+# Matrix Market: "coordinate real general" only; "%" comments before the
+# size line only, blank lines anywhere.  Header and size line are checked
+# in Python before anything is allocated; one np.loadtxt call reads the
+# entries, three fields a line in numpy's integer and float grammar.  A bad
+# entry is a ParseError at the section's first line; the message carries
+# numpy's row and column.
 # ---------------------------------------------------------------------------
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate real general"
@@ -416,17 +419,13 @@ def save_matrix(m, path, fmt: str | None = None) -> None:
             for i, j, x in zip(coo.row, coo.col, coo.data):
                 fh.write(f"{i + 1} {j + 1} {FLOAT_FORMAT % x}\n")
     else:
-        dense = m.toarray() if _is_sparse(m) else np.asarray(m)
+        dense = m.toarray() if sp.issparse(m) else np.asarray(m)
         with open(path, "w") as fh:
             for row in np.atleast_2d(dense):
                 fh.write(",".join(FLOAT_FORMAT % x for x in row) + "\n")
 
 
 def _parse_matrixmarket(path):
-    # Streamed line by line into typed arrays: a Python list of boxed
-    # floats costs several times the file size.  The arrays grow as entries
-    # arrive; the declared nnz is untrusted and only checked at the end.
-    rows, cols, vals = array("q"), array("q"), array("d")
     with open(path) as fh:
         first = fh.readline()
         if not first:
@@ -442,39 +441,38 @@ def _parse_matrixmarket(path):
             if not text or text.startswith("%"):
                 continue
             parts = text.split()
-            if dims is None:
-                if len(parts) != 3:
-                    raise ParseError(lineno, "size line must be 'rows cols nnz'")
-                try:
-                    dims = tuple(int(p) for p in parts)
-                except ValueError:
-                    raise ParseError(lineno, f"non-integer size line {text!r}") from None
-                if min(dims) < 0:
-                    raise ParseError(lineno, f"negative size {text!r}")
-                if max(dims) > np.iinfo(np.int64).max or max(dims[:2]) > dims[2] + _MM_UNBACKED_MAX:
-                    raise ShapeError(f"size line {text!r} (line {lineno}) must fit 64-bit indices "
-                                     f"and exceed its entry count by at most {_MM_UNBACKED_MAX}")
-                continue
             if len(parts) != 3:
-                raise ParseError(lineno, "entry line must be 'row col value'")
+                raise ParseError(lineno, "size line must be 'rows cols nnz'")
             try:
-                i, j = int(parts[0]), int(parts[1])
-                x = float(parts[2])
+                dims = tuple(int(p) for p in parts)
             except ValueError:
-                raise ParseError(lineno, f"malformed entry {text!r}") from None
-            if not (1 <= i <= dims[0]) or not (1 <= j <= dims[1]):
-                raise ShapeError(
-                    f"entry ({i}, {j}) outside declared {dims[0]}x{dims[1]} shape (line {lineno})"
-                )
-            rows.append(i - 1)
-            cols.append(j - 1)
-            vals.append(x)
-    if dims is None:
-        raise ParseError(lineno, "missing size line")
-    if len(vals) != dims[2]:
-        raise ShapeError(f"header declares {dims[2]} entries, file has {len(vals)}")
-    index = (np.frombuffer(rows, dtype=np.int64), np.frombuffer(cols, dtype=np.int64))
-    return sp.coo_array((np.frombuffer(vals), index), shape=(dims[0], dims[1])).tocsr()
+                raise ParseError(lineno, f"non-integer size line {text!r}") from None
+            if min(dims) < 0:
+                raise ParseError(lineno, f"negative size {text!r}")
+            if max(dims) > np.iinfo(np.int64).max or max(dims[:2]) > dims[2] + _MM_UNBACKED_MAX:
+                raise ShapeError(f"size line {text!r} (line {lineno}) must fit 64-bit indices "
+                                 f"and exceed its entry count by at most {_MM_UNBACKED_MAX}")
+            break
+        if dims is None:
+            raise ParseError(lineno, "missing size line")
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                # Older numpy only warned, and truncated, when an int field read "1.0".
+                warnings.simplefilter("error", DeprecationWarning)
+                entries = np.loadtxt(fh, comments=None, ndmin=1, dtype=[
+                    ("row", np.int64), ("col", np.int64), ("value", np.float64)])
+        except (ValueError, DeprecationWarning) as err:
+            raise ParseError(lineno + 1, f"malformed entry section: {err}") from None
+    i, j = entries["row"], entries["col"]
+    outside = (i < 1) | (i > dims[0]) | (j < 1) | (j > dims[1])
+    if outside.any():
+        k = int(outside.argmax())
+        raise ShapeError(f"entry ({i[k]}, {j[k]}) outside declared {dims[0]}x{dims[1]} shape "
+                         f"(entry {k + 1} of the file)")
+    if len(entries) != dims[2]:
+        raise ShapeError(f"header declares {dims[2]} entries, file has {len(entries)}")
+    return sp.coo_array((entries["value"], (i - 1, j - 1)), shape=(dims[0], dims[1])).tocsr()
 
 
 def _parse_csv_matrix(path):

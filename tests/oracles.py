@@ -4,19 +4,23 @@ Everything here deliberately avoids the code paths under test: transient
 distributions come from explicit matrix powers, eigenvalues from
 characteristic polynomials built with the trace recursion, stationary
 vectors from plain power iteration, and conditioning from numpy's SVD.
-The one exception is ``dynamic_geev_every_size``, the library's own
-dynamic loop before it skipped sizes, kept as the reference for that
-optimisation.
+The exceptions are ``dynamic_geev_every_size``, the library's own
+dynamic loop before it skipped sizes, and ``stream_parse_matrixmarket``,
+its Matrix Market reader before entries went through ``np.loadtxt``; each
+is kept as the reference for the change that replaced it.
 """
 
 import itertools
+from array import array
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from arnagg.aggregate import _relation_criterion
 from arnagg.arnoldi import ArnoldiBuilder, build_aggregation
-from arnagg.errors import ComplexStationary
+from arnagg.errors import ComplexStationary, ParseError, ShapeError
+from arnagg.mchain import _MM_HEADER, _MM_UNBACKED_MAX
 from arnagg.orthonorm import CGSIR, orthogonality_loss
 from arnagg.schur import aggregated_stationary
 
@@ -114,3 +118,64 @@ def dynamic_geev_every_size(p_mat, p0, max_size, epsilon, step_size=1, method=CG
             crit = _relation_criterion(fact, agg.stationary)
             if crit <= epsilon or builder.done:
                 return replace(agg, criterion=crit)
+
+
+def stream_parse_matrixmarket(path):
+    """The Matrix Market reader before it parsed entries with ``np.loadtxt``.
+
+    Entries are tokenised one by one with Python's ``int`` and ``float``.
+    ``mchain._parse_matrixmarket`` must accept and reject the same files and
+    build the same CSR, apart from the documented contract changes.
+    """
+    # Streamed line by line into typed arrays: a Python list of boxed
+    # floats costs several times the file size.  The arrays grow as entries
+    # arrive; the declared nnz is untrusted and only checked at the end.
+    rows, cols, vals = array("q"), array("q"), array("d")
+    with open(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError(1, "empty file")
+        header = first.strip().split()
+        want = _MM_HEADER.split()
+        if len(header) != len(want) or header[0] != want[0] or [h.lower() for h in header[1:]] != want[1:]:
+            raise ParseError(1, f"unsupported or malformed header {first.strip()!r}")
+        lineno = 1
+        dims = None
+        for lineno, line in enumerate(fh, start=2):
+            text = line.strip()
+            if not text or text.startswith("%"):
+                continue
+            parts = text.split()
+            if dims is None:
+                if len(parts) != 3:
+                    raise ParseError(lineno, "size line must be 'rows cols nnz'")
+                try:
+                    dims = tuple(int(p) for p in parts)
+                except ValueError:
+                    raise ParseError(lineno, f"non-integer size line {text!r}") from None
+                if min(dims) < 0:
+                    raise ParseError(lineno, f"negative size {text!r}")
+                if max(dims) > np.iinfo(np.int64).max or max(dims[:2]) > dims[2] + _MM_UNBACKED_MAX:
+                    raise ShapeError(f"size line {text!r} (line {lineno}) must fit 64-bit indices "
+                                     f"and exceed its entry count by at most {_MM_UNBACKED_MAX}")
+                continue
+            if len(parts) != 3:
+                raise ParseError(lineno, "entry line must be 'row col value'")
+            try:
+                i, j = int(parts[0]), int(parts[1])
+                x = float(parts[2])
+            except ValueError:
+                raise ParseError(lineno, f"malformed entry {text!r}") from None
+            if not (1 <= i <= dims[0]) or not (1 <= j <= dims[1]):
+                raise ShapeError(
+                    f"entry ({i}, {j}) outside declared {dims[0]}x{dims[1]} shape (line {lineno})"
+                )
+            rows.append(i - 1)
+            cols.append(j - 1)
+            vals.append(x)
+    if dims is None:
+        raise ParseError(lineno, "missing size line")
+    if len(vals) != dims[2]:
+        raise ShapeError(f"header declares {dims[2]} entries, file has {len(vals)}")
+    index = (np.frombuffer(rows, dtype=np.int64), np.frombuffer(cols, dtype=np.int64))
+    return sp.coo_array((np.frombuffer(vals), index), shape=(dims[0], dims[1])).tocsr()

@@ -132,6 +132,20 @@ class TestAggregate:
         assert "size line" in capsys.readouterr().err
         assert not list(tmp_path.glob("agg*"))
 
+    @pytest.mark.parametrize("entry", [
+        "2 2 0.5 7", "2 2", "1 1 abc",
+        "1.5 1 1.0", "1 1 1.5xyz", "1 1 0x1p0",
+        "1 1 1e", "1 1 1.0 % x",
+    ])
+    def test_malformed_entry_line_exits_2(self, tmp_path, capsys, entry):
+        ppath = tmp_path / "p.mtx"
+        ppath.write_text("%%MatrixMarket matrix coordinate real general\n"
+                         f"2 2 2\n1 2 1.0\n{entry}\n")
+        assert run("aggregate", "--input", ppath, "--p0", "uniform", "--size", 1,
+                   "--out", tmp_path / "agg") == 2
+        assert "line 3: malformed entry section" in capsys.readouterr().err
+        assert not list(tmp_path.glob("agg*"))
+
     def test_non_integer_point_index_exits_2(self, tmp_path, capsys):
         assert run("aggregate", "--gen", "random:n=6,density=0.5", "--p0", "point:abc",
                    "--size", 3, "--out", tmp_path / "agg") == 2

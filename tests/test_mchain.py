@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,10 +17,12 @@ from arnagg.errors import (
     ShapeError,
 )
 from arnagg.mchain import (
+    FLOAT_FORMAT,
     Distribution,
     GeneratorMatrix,
     StochasticMatrix,
     _checkpoint_walk,
+    _parse_matrixmarket,
     inf_norm,
     load_distribution,
     load_matrix,
@@ -32,7 +36,7 @@ from arnagg.mchain import (
 )
 from arnagg.models import counterexample, random_chain, random_ncd
 
-from oracles import transient_by_power
+from oracles import stream_parse_matrixmarket, transient_by_power
 
 
 class TestValidateStochastic:
@@ -377,6 +381,162 @@ class TestMatrixIO:
         save_distribution(d, path)
         again = load_distribution(path)
         assert np.array_equal(again.values, d.values)
+
+
+MM_HEADER = "%%MatrixMarket matrix coordinate real general"
+
+
+def mm_file(tmp_path, *lines):
+    path = tmp_path / "m.mtx"
+    path.write_text("\n".join((MM_HEADER,) + lines) + "\n")
+    return path
+
+
+@st.composite
+def mutated_mm_files(draw):
+    """A valid Matrix Market file with up to two faults and any neutral edits.
+
+    Returns the file's lines, the number of faults applied, and whether a
+    full-line comment follows the size line.  Faults: a dropped or added
+    field, a corrupted token, a surplus or missing entry line, an index out
+    of range.  Neutral edits: blank lines, and comment lines, which are
+    neutral only before the size line.
+    """
+    m, n, count = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda x: FLOAT_FORMAT % x),
+        st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
+        st.integers(-3, 3).map(str),
+    )
+
+    def entry():
+        return [str(draw(st.integers(1, m))), str(draw(st.integers(1, n))), draw(value)]
+
+    lines = [MM_HEADER.split()] + [["%", "comment"]] * draw(st.integers(0, 2))
+    size_at = len(lines)
+    lines += [[str(m), str(n), str(count)]] + [entry() for _ in range(count)]
+    faults = 0
+    for kind in draw(st.lists(st.sampled_from(
+            ["drop", "add", "corrupt", "surplus", "missing", "range", "blank", "comment"]), max_size=4)):
+        if kind in ("blank", "comment"):
+            at = draw(st.integers(1, len(lines)))
+            lines.insert(at, [] if kind == "blank" else ["%"] + draw(st.lists(st.sampled_from("ab1"), max_size=3)))
+            size_at += at <= size_at
+            continue
+        entries = [k for k in range(size_at + 1, len(lines)) if lines[k][:1] not in ([], ["%"])]
+        if faults == 2 or (kind in ("missing", "range") and not entries):
+            continue
+        faults += 1
+        if kind == "surplus":
+            lines.insert(draw(st.integers(size_at + 1, len(lines))), entry())
+        elif kind == "missing":
+            del lines[draw(st.sampled_from(entries))]
+        elif kind == "range":
+            line, axis = lines[draw(st.sampled_from(entries))], draw(st.integers(0, 1))
+            line[axis] = str(draw(st.one_of(st.integers(-5, 0), st.integers((m, n)[axis] + 1, 9))))
+        else:
+            line = lines[draw(st.sampled_from([size_at] + entries))]
+            at = draw(st.integers(0, len(line) - (kind != "add")))
+            if kind == "drop":
+                del line[at]
+            elif kind == "add":
+                line.insert(at, draw(value))
+            else:
+                line[at] = draw(st.text("0123456789.+-eEax", min_size=1, max_size=4))
+    comment_in_entries = any(line[:1] == ["%"] for line in lines[size_at + 1:])
+    return [" ".join(line) for line in lines], faults, comment_in_entries
+
+
+class TestMatrixMarketReader:
+    @pytest.mark.parametrize("entry", [
+        "2 2 0.5 7", "2 2", "1 1 abc",
+        "1.5 1 1.0", "1 1 1.5xyz", "1 1 0x1p0",
+        "1 1 1e", "1 1 1.0 % x",
+    ])
+    def test_malformed_entry_is_parse_error_at_section_start(self, tmp_path, entry):
+        path = mm_file(tmp_path, "% comment", "2 2 2", "1 2 0.5", entry)
+        with pytest.raises(ParseError, match="row") as err:
+            load_matrix(path)
+        assert err.value.line == 4
+
+    def test_first_entry_outside_shape_is_reported(self, tmp_path):
+        path = mm_file(tmp_path, "2 3 4", "1 1 1.0", "1 4 1.0", "0 1 1.0", "2 2 1.0")
+        with pytest.raises(ShapeError, match=r"entry \(1, 4\) outside declared 2x3 shape"):
+            load_matrix(path)
+
+    def test_blank_lines_between_entries_are_skipped(self, tmp_path):
+        path = mm_file(tmp_path, "", "2 2 2", "1 1 1.0", "", "  ", "2 2 1.0", "")
+        assert np.array_equal(load_matrix(path).toarray(), np.eye(2))
+
+    def test_empty_entry_section_loads_without_warning(self, tmp_path):
+        path = mm_file(tmp_path, "3 3 0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = load_matrix(path, kind="raw")
+        assert sp.issparse(m) and m.format == "csr"
+        assert m.shape == (3, 3) and m.nnz == 0
+
+    def test_int_field_deprecation_is_parse_error(self, tmp_path, monkeypatch):
+        # numpy releases that only warned on "1.0" in an int field truncated it.
+        real = np.loadtxt
+
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        with pytest.raises(ParseError) as err:
+            load_matrix(mm_file(tmp_path, "2 2 1", "1 1 1.0"))
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("lines, old", [
+        (("2 2 2", "1 1 1.0", "% comment", "2 2 1.0"), None),
+        (("2 2 1", "% comment", "1 1 1.0"), None),
+        (("2 2 1", "1 1 1_0.5"), None),
+        (("12 12 1", "1_0 1 1.0"), None),
+        (("2 2 1", "\u0661 1 1.0"), None),
+        (("2 2 1", "99999999999999999999 1 1.0"), ShapeError),
+    ], ids=["comment_between_entries", "comment_after_size_line", "float_digit_separator",
+            "int_digit_separator", "non_ascii_digit", "index_beyond_int64"])
+    def test_contract_changes_from_the_streaming_parser(self, tmp_path, lines, old):
+        path = mm_file(tmp_path, *lines)
+        if old is None:
+            stream_parse_matrixmarket(path)
+        else:
+            with pytest.raises(old):
+                stream_parse_matrixmarket(path)
+        with pytest.raises(ParseError) as err:
+            load_matrix(path, kind="raw")
+        assert err.value.line == 3
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(mutated_mm_files())
+    def test_agrees_with_streaming_parser(self, tmp_path_factory, case):
+        text, faults, comment_in_entries = case
+        path = tmp_path_factory.mktemp("mm") / "m.mtx"
+        path.write_text("\n".join(text) + "\n")
+
+        def outcome(parse):
+            try:
+                return parse(path)
+            except (ParseError, ShapeError) as err:
+                return type(err)
+
+        new = outcome(_parse_matrixmarket)
+        if comment_in_entries:
+            assert new is ParseError
+            return
+        old = outcome(stream_parse_matrixmarket)
+        assert isinstance(new, type) == isinstance(old, type)
+        if isinstance(old, type):
+            if faults == 1:
+                assert new is old
+            return
+        assert new.shape == old.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(new, name), getattr(old, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestDistribution:
