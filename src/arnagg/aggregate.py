@@ -2,10 +2,13 @@
 
 The error machinery walks the full chain once and each aggregation next to
 it over reusable buffers, recording the 1-norm error at requested step
-counts together with two upper bounds: the accumulated per-step bound (a
-sum of weighted absolute row sums of the exactness defect) and the
-closed-form geometric bound.  The exactness defect ``step_matrix @ A - A @ P``
-is materialized once per aggregation and only its row sums are kept.
+counts together with two upper bounds, both accumulated step by step: the
+specific bound adds the current aggregated vector's weighted absolute row
+sums of the exactness defect, the general bound adds the geometric
+majorant ``||pi_0||_1 * ||step_matrix||_inf^i`` of that vector's 1-norm
+times the defect's largest row sum.  The exactness defect
+``step_matrix @ A - A @ P`` is materialized once per aggregation and only
+its row sums are kept.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     InputError,
     MissingStationary,
+    NumericalError,
     ZeroVector,
 )
 from .mchain import (
@@ -42,10 +46,6 @@ from .schur import aggregated_stationary
 
 # Entry threshold of the "some entry is too large" normalization rule.
 ENTRY_CAP = 9.0 / 8.0
-
-# The geometric bound switches to its limit form when the step-matrix norm
-# is this close to 1, avoiding catastrophic cancellation in the quotient.
-UNIT_NORM_TOL = 1e-12
 
 TRACE_CSV_HEADER = "k,e_k,bound_specific,bound_general"
 
@@ -186,16 +186,6 @@ def format_trace_csv(trace: ErrorTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _general_bound_factor(inf_step: float, k: int) -> float:
-    if abs(inf_step - 1.0) <= UNIT_NORM_TOL:
-        return float(k)
-    if k == 0:
-        return 0.0
-    with np.errstate(over="ignore"):
-        powed = inf_step ** k
-    return float((powed - 1.0) / (inf_step - 1.0))
-
-
 def error_trace(p_mat: StochasticMatrix, p0, agg: Aggregation, ks,
                 policy: NormalizationPolicy = NEVER) -> ErrorTrace:
     """Walk chain and aggregation in lockstep, recording errors and bounds.
@@ -232,11 +222,14 @@ def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
     # Built one after the other, so one defect is alive at a time.
     walks = [_AggregatedWalk(p_mat, p, agg, len(ks), policy) for agg in aggs]
     done = 0
-    for i, (k, p_k) in enumerate(zip(ks, _checkpoint_walk(p_mat, p, ks))):
-        for walk in walks:
-            walk.advance(k - done)
-            walk.record(i, k, p_k)
-        done = k
+    # Overflow is not warned about: a bound or error past the float range
+    # reads inf, and ``record`` rejects an approximation that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (k, p_k) in enumerate(zip(ks, _checkpoint_walk(p_mat, p, ks))):
+            for walk in walks:
+                walk.advance(k - done)
+                walk.record(i, k, p_k)
+            done = k
     return [walk.result(p_mat, ks) for walk in walks]
 
 
@@ -254,26 +247,38 @@ class _AggregatedWalk:
         self.pi_buf = np.empty_like(self.pi)
         self.abs_pi = np.empty_like(self.pi)
         self.e0 = float(np.abs(self.pi @ agg.disaggregation - p0).sum())
-        self.accumulated = self.e0
+        self.acc_specific = self.acc_general = self.e0
+        # Majorant ||initial||_1 * inf_step^i of the current vector's 1-norm.
+        self.mass = float(np.abs(self.pi).sum())
         self.errors = np.empty(checkpoints)
         self.specific = np.empty(checkpoints)
         self.general = np.empty(checkpoints)
 
     def advance(self, steps: int) -> None:
-        """Take ``steps`` aggregated steps, accumulating the specific bound."""
+        """Take ``steps`` aggregated steps, accumulating both bounds.
+
+        For size 1 the general term ``mass * static_error`` is the specific
+        term ``|pi| @ defect_rows`` float for float, so there the two bounds
+        are equal.
+        """
         for _ in range(steps):
             np.abs(self.pi, out=self.abs_pi)
-            self.accumulated += float(self.abs_pi @ self.defect_rows)
+            self.acc_specific += float(self.abs_pi @ self.defect_rows)
+            self.acc_general += self.mass * self.static_error
+            self.mass *= self.inf_step
             np.matmul(self.pi, self.agg.step_matrix, out=self.pi_buf)
             self.pi, self.pi_buf = self.pi_buf, self.pi
 
     def record(self, i: int, k: int, p_k: np.ndarray) -> None:
         """Record checkpoint ``i`` (step ``k``) against the exact ``p_k``."""
-        approx = normalize(self.pi @ self.agg.disaggregation, self.policy).values
+        image = self.pi @ self.agg.disaggregation
+        if not np.isfinite(image).all():
+            raise NumericalError(f"the size-{self.agg.size} aggregated vector is no "
+                                 f"longer finite at step {k}")
+        approx = normalize(image, self.policy).values
         self.errors[i] = float(np.abs(approx - p_k).sum())
-        self.specific[i] = self.accumulated
-        self.general[i] = self.e0 + float(np.abs(self.agg.initial).sum()) \
-            * self.static_error * _general_bound_factor(self.inf_step, k)
+        self.specific[i] = self.acc_specific
+        self.general[i] = self.acc_general
 
     def result(self, p_mat: StochasticMatrix, ks: list[int]) -> ErrorTrace:
         criterion = None

@@ -86,7 +86,7 @@ class ArnoldiBuilder:
     """
 
     def __init__(self, p_mat: StochasticMatrix, p0, max_size: int,
-                 method: OrthMethod = CGSIR, deflation_tol: float = DEFLATION_TOL):
+                 method: OrthMethod = CGSIR):
         v = as_vector(p0)
         n = p_mat.n
         if v.shape[0] != n:
@@ -101,7 +101,6 @@ class ArnoldiBuilder:
         self.p_mat = p_mat
         self.max_size = max_size
         self.method = method
-        self.deflation_tol = deflation_tol
         self.deflated = False
         self._q = np.zeros((max_size + 1, n))
         self._h = np.zeros((max_size, max_size + 1))
@@ -127,7 +126,7 @@ class ArnoldiBuilder:
         self._h[j - 1, :j] = step.coefficients
         self._h[j - 1, j] = step.residual_norm
         self._steps = j
-        if step.residual_norm <= self.deflation_tol * float(np.linalg.norm(w)):
+        if step.residual_norm <= DEFLATION_TOL * float(np.linalg.norm(w)):
             self.deflated = True
         else:
             self._q[j] = step.residual_vector / step.residual_norm
@@ -152,14 +151,13 @@ def _read_only(view: np.ndarray) -> np.ndarray:
 
 
 def arnoldi_iterate(p_mat: StochasticMatrix, p0, m: int,
-                    method: OrthMethod = CGSIR,
-                    deflation_tol: float = DEFLATION_TOL) -> ArnoldiFactorization:
+                    method: OrthMethod = CGSIR) -> ArnoldiFactorization:
     """Krylov factorization of (p0, P), stopping early on deflation.
 
     Returns a factorization of size ``m``, or smaller if the residual norm
-    fell below ``deflation_tol`` times the norm of the propagated vector.
+    fell below ``DEFLATION_TOL`` times the norm of the propagated vector.
     """
-    builder = ArnoldiBuilder(p_mat, p0, m, method=method, deflation_tol=deflation_tol)
+    builder = ArnoldiBuilder(p_mat, p0, m, method=method)
     while not builder.done:
         builder.expand()
     return builder.snapshot()

@@ -385,6 +385,9 @@ def weighted_abs_row_sums(v, m) -> float:
 # entries, three fields a line in numpy's integer and float grammar.  A bad
 # entry is a ParseError at the section's first line; the message carries
 # numpy's row and column.
+#
+# All readers decode UTF-8 whatever the locale, an undecodable byte as
+# U+FFFD, which no numeric field accepts: it ends in a ParseError.
 # ---------------------------------------------------------------------------
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate real general"
@@ -426,7 +429,7 @@ def save_matrix(m, path, fmt: str | None = None) -> None:
 
 
 def _parse_matrixmarket(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         first = fh.readline()
         if not first:
             raise ParseError(1, "empty file")
@@ -478,7 +481,7 @@ def _parse_matrixmarket(path):
 def _parse_csv_matrix(path):
     rows = []
     width = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -526,7 +529,7 @@ def save_distribution(d, path) -> None:
 def load_distribution(path, strict: bool = True) -> Distribution:
     """Read a single-column CSV distribution."""
     vals = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:

@@ -2,8 +2,8 @@
 
 The numerics are LAPACK's: the complex Schur form (Hessenberg reduction
 plus shifted QR iteration) and ``ztrexc`` reordering for
-:func:`schur_decompose`, and the general eigensolver ``geev`` for
-:func:`aggregated_stationary`.  Conventions:
+:func:`schur_decompose` and :func:`leading_eigvec`, and the general
+eigensolver ``geev`` for :func:`aggregated_stationary`.  Conventions:
 
 * ``M = U @ T @ U^H`` with unitary ``U`` (columns are Schur vectors) and
   upper-triangular ``T``.
@@ -91,25 +91,18 @@ def leading_eigvec(s: SchurDecomposition):
     Ties on the real part are broken by the smaller imaginary magnitude.
     Returns ``(lam, v)`` with unit-2-norm ``v`` satisfying ``M v = lam v``
     for the decomposed matrix.  With the sorted convention the winner is
-    usually the first Schur vector; otherwise the eigenvector is obtained
-    by triangular back-substitution.
+    usually the first Schur vector; otherwise one ``ztrexc`` reorder of a
+    copy of the form moves it to the front, where the first Schur vector
+    is its eigenvector.
     """
     t, u = s.triangular, s.unitary
     idx = _closest_to_one(np.diag(t))
     lam = complex(t[idx, idx])
-    if idx == 0:
-        return lam, u[:, 0].copy()
-    k = idx
-    y = np.zeros(k + 1, dtype=complex)
-    y[k] = 1.0
-    scale = max(float(np.max(np.abs(t))), 1.0)
-    for i in range(k - 1, -1, -1):
-        denom = t[i, i] - lam
-        if abs(denom) < 1e-14 * scale:
-            denom = 1e-14 * scale  # repeated eigenvalue: nudge the pivot
-        y[i] = -(t[i, i + 1:k + 1] @ y[i + 1:k + 1]) / denom
-    v = u[:, :k + 1] @ y
-    return lam, v / np.linalg.norm(v)
+    if idx:
+        from scipy.linalg.lapack import ztrexc
+
+        t, u, _ = ztrexc(t, u, idx + 1, 1)
+    return lam, u[:, 0].copy()
 
 
 def aggregated_stationary(agg: Aggregation) -> Aggregation:

@@ -146,6 +146,20 @@ class TestAggregate:
         assert "line 3: malformed entry section" in capsys.readouterr().err
         assert not list(tmp_path.glob("agg*"))
 
+    @pytest.mark.parametrize("option, name, body", [
+        ("--input", "p.mtx", b"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\xff\n"),
+        ("--input", "p.csv", b"1.0\xff\n"),
+        ("--p0", "p0.csv", b"1.0\xff\n"),
+    ], ids=["matrixmarket", "csv_matrix", "p0_file"])
+    def test_undecodable_byte_exits_2(self, tmp_path, capsys, option, name, body):
+        path = tmp_path / name
+        path.write_bytes(body)
+        chain = ["--input", path] if option == "--input" else ["--gen", "random:n=1"]
+        p0 = f"file:{path}" if option == "--p0" else "uniform"
+        assert run("aggregate", *chain, "--p0", p0, "--size", 1, "--out", tmp_path / "agg") == 2
+        assert "malformed" in capsys.readouterr().err
+        assert not list(tmp_path.glob("agg*"))
+
     def test_non_integer_point_index_exits_2(self, tmp_path, capsys):
         assert run("aggregate", "--gen", "random:n=6,density=0.5", "--p0", "point:abc",
                    "--size", 3, "--out", tmp_path / "agg") == 2
@@ -249,6 +263,19 @@ class TestTrace:
                    "--ks", "0..10", "--samples", 2, "--seed", 7,
                    "--out", tmp_path / "x.csv") == 2
         assert "ARNAGG_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chain, p0", [
+        ([[0, 1], [0, 1]], [0.36, 0.64]),
+        ([[0, 1, 0], [0, 1, 0], [0, 0, 1]], [0.36, 0.64, 0.0]),
+    ], ids=["absorbing", "with_isolated_state"])
+    def test_overflowing_walk_exits_3(self, tmp_path, capsys, chain, p0):
+        save_matrix(np.array(chain, dtype=float), tmp_path / "p.mtx")
+        save_distribution(np.array(p0), tmp_path / "p0.csv")
+        out = tmp_path / "tr.csv"
+        assert run("trace", "--input", tmp_path / "p.mtx", "--p0", f"file:{tmp_path / 'p0.csv'}",
+                   "--size", 1, "--ks", "0,5000", "--out", out) == 3
+        assert "error: the size-1 aggregated vector is no longer finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_descending_ks_rejected(self, tmp_path):
         assert run("trace", "--gen", "random:n=8", "--p0", "uniform", "--size", 2,
