@@ -1,14 +1,13 @@
 """Aggregated stepping, error traces and bounds, normalization, pipelines.
 
 The error machinery walks the full chain once and each aggregation next to
-it over reusable buffers, recording the 1-norm error at requested step
-counts together with two upper bounds, both accumulated step by step: the
-specific bound adds the current aggregated vector's weighted absolute row
-sums of the exactness defect, the general bound adds the geometric
-majorant ``||pi_0||_1 * ||step_matrix||_inf^i`` of that vector's 1-norm
-times the defect's largest row sum.  The exactness defect
-``step_matrix @ A - A @ P`` is materialized once per aggregation and only
-its row sums are kept.
+it, recording the 1-norm error at requested step counts together with two
+upper bounds, both accumulated step by step: the specific bound adds the
+current aggregated vector's weighted absolute row sums of the exactness
+defect, the general bound adds the geometric majorant
+``||pi_0||_1 * ||step_matrix||_inf^i`` of that vector's 1-norm times the
+defect's largest row sum.  The exactness defect ``step_matrix @ A - A @ P``
+is materialized once per aggregation and only its row sums are kept.
 """
 
 from __future__ import annotations
@@ -75,16 +74,13 @@ CONDITIONAL = NormalizationPolicy("conditional")
 ALWAYS = NormalizationPolicy("always")
 
 
-def parse_policy(name: str, tolerance: float | None = None) -> NormalizationPolicy:
+def parse_policy(name: str) -> NormalizationPolicy:
     alias = {"never": "never", "cond": "conditional", "conditional": "conditional",
              "always": "always"}
     try:
-        mode = alias[name.lower()]
+        return NormalizationPolicy(alias[name.lower()])
     except KeyError:
         raise InputError(f"unknown normalization policy {name!r}") from None
-    if tolerance is None:
-        return NormalizationPolicy(mode)
-    return NormalizationPolicy(mode, tolerance=tolerance)
 
 
 def _should_normalize(v: np.ndarray, policy: NormalizationPolicy) -> bool:
@@ -112,20 +108,24 @@ def normalize(p, policy: NormalizationPolicy) -> Distribution:
     """Apply a normalization policy to a (possibly non-strict) distribution."""
     v = as_vector(p)
     if _should_normalize(v, policy):
-        norm1 = float(np.abs(v).sum())
+        with np.errstate(over="ignore"):
+            norm1 = float(np.abs(v).sum())
         if norm1 == 0.0:
             raise ZeroVector("cannot rescale the zero vector to unit 1-norm")
+        if np.isinf(norm1) and np.isfinite(v).all():
+            # The 1-norm of a finite vector overflowed: scale by the largest
+            # magnitude first, which brings it back into range.
+            v = v / np.abs(v).max()
+            norm1 = float(np.abs(v).sum())
         v = v / norm1
     return Distribution(v, strict=False)
 
 
-def aggregated_step(agg: Aggregation, pi_k, out: np.ndarray | None = None) -> np.ndarray:
+def aggregated_step(agg: Aggregation, pi_k) -> np.ndarray:
     """One aggregated step, ``pi_k @ step_matrix``."""
     pi_k = as_vector(pi_k)
     if pi_k.shape[0] != agg.size:
         raise DimensionMismatch(f"vector of length {pi_k.shape[0]} against size {agg.size}")
-    if out is not None:
-        return np.matmul(pi_k, agg.step_matrix, out=out)
     return pi_k @ agg.step_matrix
 
 
@@ -191,12 +191,11 @@ def error_trace(p_mat: StochasticMatrix, p0, agg: Aggregation, ks,
     """Walk chain and aggregation in lockstep, recording errors and bounds.
 
     ``ks`` must be ascending step counts.  The chain is walked once, to
-    ``ks[-1]``, over two reusable buffers; the aggregated vector takes the
-    same steps next to it.  The exactness defect is materialised once and
-    only its absolute row sums are kept.  The initial error feeding both
-    bounds is measured, not assumed zero, which doubles as a check of the
-    aggregated start vector.  This is the one-aggregation case of
-    ``_error_traces``.
+    ``ks[-1]``; the aggregated vector takes the same steps next to it.  The
+    exactness defect is materialised once and only its absolute row sums
+    are kept.  The initial error feeding both bounds is measured, not
+    assumed zero, which doubles as a check of the aggregated start vector.
+    This is the one-aggregation case of ``_error_traces``.
     """
     return _error_traces(p_mat, p0, [agg], ks, policy=policy)[0]
 
@@ -234,7 +233,11 @@ def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
 
 
 class _AggregatedWalk:
-    """One aggregation's side of an error trace: its walk, bounds and errors."""
+    """One aggregation's side of an error trace: its walk, bounds and errors.
+
+    Each step allocates the next aggregated vector; the walk starts from
+    ``agg.initial`` itself, which it never writes to.
+    """
 
     def __init__(self, p_mat: StochasticMatrix, p0: np.ndarray, agg: Aggregation,
                  checkpoints: int, policy: NormalizationPolicy):
@@ -243,9 +246,7 @@ class _AggregatedWalk:
         self.defect_rows = np.abs(exactness_defect(p_mat, agg)).sum(axis=1)
         self.static_error = float(self.defect_rows.max()) if self.defect_rows.size else 0.0
         self.inf_step = inf_norm(agg.step_matrix)
-        self.pi = agg.initial.copy()
-        self.pi_buf = np.empty_like(self.pi)
-        self.abs_pi = np.empty_like(self.pi)
+        self.pi = agg.initial
         self.e0 = float(np.abs(self.pi @ agg.disaggregation - p0).sum())
         self.acc_specific = self.acc_general = self.e0
         # Majorant ||initial||_1 * inf_step^i of the current vector's 1-norm.
@@ -262,12 +263,10 @@ class _AggregatedWalk:
         are equal.
         """
         for _ in range(steps):
-            np.abs(self.pi, out=self.abs_pi)
-            self.acc_specific += float(self.abs_pi @ self.defect_rows)
+            self.acc_specific += float(np.abs(self.pi) @ self.defect_rows)
             self.acc_general += self.mass * self.static_error
             self.mass *= self.inf_step
-            np.matmul(self.pi, self.agg.step_matrix, out=self.pi_buf)
-            self.pi, self.pi_buf = self.pi_buf, self.pi
+            self.pi = self.pi @ self.agg.step_matrix
 
     def record(self, i: int, k: int, p_k: np.ndarray) -> None:
         """Record checkpoint ``i`` (step ``k``) against the exact ``p_k``."""

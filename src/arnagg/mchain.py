@@ -56,11 +56,19 @@ class _MatrixBase:
 
     def __init__(self, storage):
         self._m = storage
+        # A view sharing the storage: the ndarray's transpose, or the CSC
+        # matrix on the CSR arrays.
+        self._mt = storage.T
         self.n = storage.shape[0]
 
     @property
     def raw(self):
-        """Underlying ndarray or scipy CSR matrix."""
+        """Underlying ndarray or scipy CSR matrix.
+
+        Its entries may be read, not restructured in place: ``vec_mul``
+        runs on a transposed view built from the same arrays at
+        construction.
+        """
         return self._m
 
     @property
@@ -74,25 +82,16 @@ class _MatrixBase:
     def toarray(self) -> np.ndarray:
         return self._m.toarray() if self.is_sparse else np.array(self._m)
 
-    def vec_mul(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Row-vector product ``v @ M``.
+    def vec_mul(self, v: np.ndarray) -> np.ndarray:
+        """Row-vector product ``v @ M``, as ``M.T @ v``, in a new vector.
 
-        The dense path writes into ``out`` without allocating.  The sparse
-        path has to allocate the result (scipy's public API has no ``out=``)
-        and copies into ``out`` when one is given, so buffer swapping still
-        works uniformly for callers.
+        For sparse storage this is scipy's CSC matrix-vector kernel on the
+        transposed view; for dense storage it is the same product numpy
+        gives for ``v @ M``, bit for bit.
         """
         if v.shape[0] != self.n:
             raise DimensionMismatch(f"vector of length {v.shape[0]} against {self.n} states")
-        if self.is_sparse:
-            r = self._m.T @ v
-            if out is not None:
-                np.copyto(out, r)
-                return out
-            return r
-        if out is not None:
-            return np.matmul(v, self._m, out=out)
-        return v @ self._m
+        return self._mt @ v
 
     def mat_mul(self, a: np.ndarray) -> np.ndarray:
         """Dense product ``a @ M`` for a 2-D array of row vectors."""
@@ -179,7 +178,7 @@ class GeneratorMatrix(_MatrixBase):
 
     @property
     def max_diag_magnitude(self) -> float:
-        d = self._m.diagonal() if self.is_sparse else np.diagonal(self._m)
+        d = self._m.diagonal()
         return float(np.max(np.abs(d))) if d.size else 0.0
 
 
@@ -307,8 +306,8 @@ def uniformize(q: GeneratorMatrix, gamma: float | None = None) -> StochasticMatr
 def transient(p_mat: StochasticMatrix, p0, k: int) -> Distribution:
     """k-step transient distribution ``p0 @ P^k``.
 
-    Computed as k successive vector-matrix products over two reusable
-    buffers (``_checkpoint_walk``), never through matrix powers.
+    Computed as k successive vector-matrix products (``_checkpoint_walk``),
+    never through matrix powers.
     """
     if k < 0:
         raise InputError(f"step count must be >= 0, got {k}")
@@ -322,40 +321,30 @@ def transient(p_mat: StochasticMatrix, p0, k: int) -> Distribution:
 def _checkpoint_walk(p_mat: StochasticMatrix, p0, ks):
     """Yield ``p0 @ P^k`` at each of the ascending step counts ``ks``.
 
-    One walk of ``ks[-1]`` vector-matrix products over two reusable
-    buffers.  A yielded vector is one of the buffers, so read it before
-    advancing the walk.
+    One walk of ``ks[-1]`` vector-matrix products.  Each step allocates
+    its result, so a yielded vector stays valid as the walk moves on.
     """
-    v = as_vector(p0).copy()
-    buf = np.empty_like(v)
+    v = as_vector(p0)
     done = 0
     for k in ks:
         for _ in range(k - done):
-            p_mat.vec_mul(v, out=buf)
-            v, buf = buf, v
+            v = p_mat.vec_mul(v)
         done = k
         yield v
 
 
 def inf_norm(m) -> float:
     """Maximum absolute row sum norm."""
-    m = _unwrap(m)
-    if sp.issparse(m):
-        if m.shape[0] == 0:
-            return 0.0
-        return float(np.max(np.asarray(abs(m).sum(axis=1)).ravel()))
-    m = np.asarray(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.abs(m).sum(axis=1)))
+    rows = abs_row_sums(m)
+    return float(rows.max()) if rows.size else 0.0
 
 
 def abs_row_sums(m) -> np.ndarray:
     """Vector of row sums of ``|M|``, i.e. ``|M| @ 1``."""
     m = _unwrap(m)
-    if sp.issparse(m):
-        return np.asarray(abs(m).sum(axis=1)).ravel()
-    return np.abs(np.asarray(m)).sum(axis=1)
+    if not sp.issparse(m):
+        m = np.asarray(m)
+    return np.asarray(abs(m).sum(axis=1)).ravel()
 
 
 def weighted_abs_row_sums(v, m) -> float:

@@ -66,11 +66,9 @@ CGSIR = OrthMethod("cgsir")
 MGSIR = OrthMethod("mgsir")
 
 
-def parse_method(name: str, kappa: float | None = None) -> OrthMethod:
-    """Build an OrthMethod from its lowercase tag, e.g. for CLI flags."""
-    if kappa is None:
-        return OrthMethod(name.lower())
-    return OrthMethod(name.lower(), kappa=kappa)
+def parse_method(name: str) -> OrthMethod:
+    """Build an OrthMethod from its tag, in any case, e.g. for CLI flags."""
+    return OrthMethod(name.lower())
 
 
 @dataclass(frozen=True)

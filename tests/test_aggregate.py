@@ -171,6 +171,10 @@ class TestNormalize:
         out = normalize(np.array([2.0, 2.0]), ALWAYS)
         assert np.array_equal(out.values, [0.5, 0.5])
 
+    def test_overflowing_one_norm_of_finite_vector(self):
+        out = normalize(np.array([1e308, 1e308]), ALWAYS)
+        assert np.array_equal(out.values, [0.5, 0.5])
+
     def test_never(self):
         v = np.array([5.0, -3.0])
         assert np.array_equal(normalize(v, NEVER).values, v)
@@ -317,6 +321,14 @@ class TestErrorTrace:
         tr = error_trace(p, p0, pipeline_naive(p, p0, 1), [4140, 4143])
         assert np.isinf(tr.bound_specific).all() and np.isinf(tr.bound_general).all()
         assert np.isfinite(tr.errors[0]) and np.isinf(tr.errors[1])
+
+    @pytest.mark.parametrize("policy", [CONDITIONAL, ALWAYS], ids=["conditional", "always"])
+    def test_rescaling_survives_an_overflowing_one_norm(self, policy):
+        # At k=4143 the image is finite but its 1-norm is not; the rescaled
+        # image is the same as at k=100, (0.36, 0.64) against the chain's (0, 1).
+        p, p0 = OVERFLOWING_CHAINS[0]
+        tr = error_trace(p, p0, pipeline_naive(p, p0, 1), [100, 4143], policy=policy)
+        assert np.allclose(tr.errors, [0.72, 0.72], rtol=1e-12)
 
     def test_ks_must_ascend(self):
         p, p0 = counterexample(0.5)

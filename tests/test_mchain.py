@@ -216,6 +216,15 @@ class TestTransient:
             assert np.array_equal(v, transient(p, d, k).values)
         assert np.array_equal(d.values, Distribution.random(30, seed=14).values)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_checkpoint_walk_vectors_stay_valid_as_the_walk_moves_on(self, sparse):
+        p = random_chain(12, 0.4, seed=15, sparse=sparse)
+        d = Distribution.random(12, seed=16)
+        ks = [1, 3, 4]
+        walked = list(_checkpoint_walk(p, d, ks))
+        for k, v in zip(ks, walked):
+            assert np.array_equal(v, transient(p, d, k).values)
+
     def test_one_step_of_strict_distribution_stays_strict(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 40))
@@ -271,6 +280,9 @@ class TestStorageEquivalence:
                 a, b = dense.vec_mul(v), sparse.vec_mul(v)
                 scale = max(np.abs(a).max(), 1e-300)
                 assert np.abs(a - b).max() <= 1e-14 * scale
+                assert np.array_equal(a, v @ dense.raw)
+                assert np.array_equal(b, sparse.raw.T @ v)
+                assert not np.shares_memory(a, v) and not np.shares_memory(b, v)
 
     def test_mat_mul_agrees(self, rng):
         p = random_chain(30, 0.4, seed=5)
