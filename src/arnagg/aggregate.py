@@ -105,14 +105,20 @@ def _should_normalize(v: np.ndarray, policy: NormalizationPolicy) -> bool:
 
 
 def normalize(p, policy: NormalizationPolicy) -> Distribution:
-    """Apply a normalization policy to a (possibly non-strict) distribution."""
+    """Apply a normalization policy to a (possibly non-strict) distribution.
+
+    Raises InputError for a vector with a non-finite entry, whatever the
+    policy.
+    """
     v = as_vector(p)
+    if not np.isfinite(v).all():
+        raise InputError("cannot normalize a vector with non-finite entries")
     if _should_normalize(v, policy):
         with np.errstate(over="ignore"):
             norm1 = float(np.abs(v).sum())
         if norm1 == 0.0:
             raise ZeroVector("cannot rescale the zero vector to unit 1-norm")
-        if np.isinf(norm1) and np.isfinite(v).all():
+        if np.isinf(norm1):
             # The 1-norm of a finite vector overflowed: scale by the largest
             # magnitude first, which brings it back into range.
             v = v / np.abs(v).max()
@@ -328,12 +334,18 @@ def _relation_criterion(fact: ArnoldiFactorization, stationary: np.ndarray) -> f
                  * np.abs(fact.residual_direction).sum())
 
 
-def _estimated_criterion(fact: ArnoldiFactorization, x: np.ndarray) -> float | None:
+def _estimated_criterion(fact: ArnoldiFactorization, x: np.ndarray,
+                         row_sums: np.ndarray) -> float | None:
     """``_relation_criterion`` after two inverse-iteration steps on ``H^T - I`` from ``x``.
 
-    Shift 1 is the known eigenvalue (Golub & Van Loan, section 7.6).  A
-    finite iterate overwrites ``x`` as the next warm start.  None when a
-    solve fails or ``|x_j|`` moved by more than half over the second step.
+    Shift 1 is the known eigenvalue (Golub & Van Loan, section 7.6).  The
+    iterate ``z`` is scaled by ``|z @ row_sums|``, where ``row_sums`` holds
+    the row sums of ``fact.basis``: that is the sum of the image ``z Q``,
+    its 1-norm when the image is nonnegative, which it is up to rounding
+    near the stop size.  So the estimate costs O(j^2) and reads no basis
+    row.  A finite iterate overwrites ``x`` as the next warm start.  None
+    when a solve fails or ``|x_j|`` moved by more than half over the second
+    step.
     """
     shifted = fact.hessenberg.T - np.eye(fact.size)
     try:
@@ -342,7 +354,7 @@ def _estimated_criterion(fact: ArnoldiFactorization, x: np.ndarray) -> float | N
             y /= np.sqrt(y @ y)
             z = np.linalg.solve(shifted, y)
             z /= np.sqrt(z @ z)
-            estimate = _relation_criterion(fact, z / np.abs(z @ fact.basis).sum())
+            estimate = _relation_criterion(fact, z / abs(z @ row_sums))
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(z).all():
@@ -363,8 +375,11 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     ``criterion <= epsilon`` wins, else the final size is returned.  ``geev``
     runs only where a size can stop: where the warm-started inverse-iteration
     estimate (``_estimated_criterion``) is missing or within ``100 * epsilon``,
-    and at the last size.  The result carries its stationary vector and
-    criterion, and its arrays are read-only views of the builder's storage.
+    and at the last size.  The estimate is scaled by the basis row sums,
+    and each basis row is summed once per run, so a checked size costs no
+    j x n product unless ``geev`` runs.  The result carries its stationary
+    vector and criterion, and its arrays are read-only views of the
+    builder's storage.
 
     A truncated step matrix can transiently have a complex leading
     eigenpair mid-growth; such sizes simply cannot stop the iteration.
@@ -378,11 +393,15 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     builder = ArnoldiBuilder(p_mat, p0, max_size, method=method)
     warm = np.zeros(max_size)  # inverse-iteration warm start, zero-padded
     warm[0] = 1.0
+    row_sums = np.empty(max_size)  # basis row sums, filled up to ``summed``
+    summed = 0
     while True:
         builder.expand()
         if builder.size % step_size == 0 or builder.done:
             fact = builder.snapshot()
-            estimate = _estimated_criterion(fact, warm[:fact.size])
+            row_sums[summed:fact.size] = fact.basis[summed:].sum(axis=1)
+            summed = fact.size
+            estimate = _estimated_criterion(fact, warm[:fact.size], row_sums[:fact.size])
             # A size whose estimate is far above epsilon cannot stop the loop.
             if estimate is not None and estimate > 100.0 * epsilon and not builder.done:
                 continue

@@ -148,7 +148,7 @@ class StochasticMatrix(_MatrixBase):
 
 
 class GeneratorMatrix(_MatrixBase):
-    """CTMC rate matrix: finite entries, nonnegative off-diagonal, zero row sums."""
+    """CTMC rate matrix, dense or CSR: finite entries, nonnegative off-diagonal, zero row sums."""
 
     def __init__(self, m, tol: float = GENERATOR_TOL):
         m = _unwrap(m)
@@ -174,7 +174,7 @@ class GeneratorMatrix(_MatrixBase):
         bad = np.nonzero(np.abs(sums) > tol)[0]
         if bad.size:
             raise GeneratorRowSumViolation(int(bad[0]), float(sums[bad[0]]))
-        super().__init__(m)
+        super().__init__(m.tocsr() if sp.issparse(m) else m)
 
     @property
     def max_diag_magnitude(self) -> float:
@@ -297,7 +297,7 @@ def uniformize(q: GeneratorMatrix, gamma: float | None = None) -> StochasticMatr
     elif gamma < required or gamma <= 0.0:
         raise GammaTooSmall(gamma, required)
     if q.is_sparse:
-        p = (sp.eye_array(q.n, format="csr") + q.raw.tocsr() * (1.0 / gamma)).tocsr()
+        p = sp.eye_array(q.n, format="csr") + q.raw * (1.0 / gamma)
     else:
         p = np.eye(q.n) + q.raw / gamma
     return StochasticMatrix(p)

@@ -179,6 +179,13 @@ class TestNormalize:
         v = np.array([5.0, -3.0])
         assert np.array_equal(normalize(v, NEVER).values, v)
 
+    @pytest.mark.parametrize("policy", [NEVER, CONDITIONAL, ALWAYS], ids=lambda p: p.mode)
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_entry_rejected(self, policy, entry):
+        # RuntimeWarning is an error in this suite, so this also checks silence.
+        with pytest.raises(InputError, match="non-finite"):
+            normalize(np.array([entry, 1.0]), policy)
+
     def test_zero_vector_error(self):
         with pytest.raises(ZeroVector):
             normalize(np.zeros(3), ALWAYS)
@@ -598,7 +605,8 @@ def estimate_pool():
 
     Coupling 1e-12 puts six eigenvalues of the chain within about 1e-12 of 1,
     so ``H^T - I`` is nearly singular in several directions; RuntimeWarning
-    is an error in this suite.
+    is an error in this suite.  The sparse 300-state chain stops near size
+    43 at epsilon 1e-12, with CSR storage and basis rows of mixed sign.
     """
     cycle = np.zeros((6, 6))
     cycle[0, 1] = cycle[1, 2] = cycle[2, 0] = 1.0
@@ -610,6 +618,8 @@ def estimate_pool():
         for c in range(2):
             p = random_ncd(6, 10, coupling, seed=[7, c])
             pool.append((p, Distribution.random(p.n, seed=[8, c]), 1e-8))
+    sparse = random_chain(300, 0.02, seed=[9, 0], sparse=True)
+    pool.append((sparse, Distribution.random(sparse.n, seed=[8, 0]), 1e-12))
     return pool
 
 
@@ -677,23 +687,32 @@ class TestCriterionEstimate:
     def test_near_singular_shift_gives_no_estimate(self, hessenberg):
         # RuntimeWarning is an error in this suite, so this also checks silence.
         warm = np.array([0.6, 0.8])
-        assert _estimated_criterion(self.factorization(hessenberg), warm) is None
+        assert _estimated_criterion(self.factorization(hessenberg), warm, np.ones(2)) is None
         assert np.array_equal(warm, [0.6, 0.8])
 
     def test_unsettled_iteration_gives_no_estimate(self):
         # Left eigenvalues 0.99 and 0.97: |x_2| shrinks threefold a step.
         warm = np.array([1.0, 0.1])
-        assert _estimated_criterion(self.factorization([[0.99, 0.0], [0.0, 0.97]]), warm) is None
+        assert _estimated_criterion(self.factorization([[0.99, 0.0], [0.0, 0.97]]), warm,
+                                    np.ones(2)) is None
         assert warm[1] == pytest.approx(0.1 / 9, rel=1e-2)
 
     def test_estimate_is_the_criterion_of_the_iterate(self):
         # Left eigenvalues 0.973 and 0.627: two steps from e_1 nearly converge.
         fact = self.factorization([[0.9, 0.1], [0.2, 0.7]])
         warm = np.array([1.0, 0.0])
-        estimate = _estimated_criterion(fact, warm)
+        estimate = _estimated_criterion(fact, warm, fact.basis.sum(axis=1))
         pi = aggregated_stationary(build_aggregation(fact, [1.0, 0.0])).stationary
         assert abs(warm @ pi) / np.linalg.norm(pi) > 0.999
         assert estimate == _relation_criterion(fact, warm / np.abs(warm).sum())
+
+    def test_estimate_reads_no_basis_row(self):
+        # Scaling by the row sums needs only H, the residual and the sums.
+        fact = ArnoldiFactorization(basis=None, hessenberg=np.array([[0.9, 0.1], [0.2, 0.7]]),
+                                    residual_norm=0.5, residual_direction=np.ones(2),
+                                    deflated=False)
+        estimate = _estimated_criterion(fact, np.array([1.0, 0.0]), np.ones(2))
+        assert estimate == pytest.approx(0.2667, abs=1e-4)
 
 
 class TestPipelineDynamic:

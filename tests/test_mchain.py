@@ -171,6 +171,15 @@ class TestValidateGenerator:
                 validate_generator(storage)
             assert tuple(getattr(err.value, f) for f in fields) == expected
 
+    @pytest.mark.parametrize("fmt", [sp.coo_array, sp.csc_array, sp.csr_array],
+                             ids=["coo", "csc", "csr"])
+    def test_sparse_generator_stored_as_csr(self, fmt):
+        q = np.array([[-2.0, 1.5, 0.5], [0.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
+        gen = validate_generator(fmt(q))
+        assert isinstance(gen.raw, sp.csr_array)
+        want = uniformize(validate_generator(sp.csr_array(q)))
+        assert np.array_equal(uniformize(gen).toarray(), want.toarray())
+
     def test_sparse_duplicate_entries_are_summed(self):
         # Row 0 stores (0, 1) twice, as -1 and 2: the matrix entry is 1.
         q = sp.csr_array((np.array([-1.0, -1.0, 2.0, 0.0]), np.array([0, 1, 1, 1]),
