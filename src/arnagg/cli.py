@@ -217,10 +217,9 @@ def _workers(njobs: int) -> int:
 
 
 def _sample_paths(out: str, samples: int) -> list[str]:
-    stem, dot, ext = out.rpartition(".")
-    if not dot:
-        stem, ext = out, "csv"
-    return [f"{stem}_s{i:03d}.{ext}" for i in range(samples)] + [f"{stem}_mean.{ext}"]
+    stem, ext = os.path.splitext(out)
+    ext = ext or ".csv"
+    return [f"{stem}_s{i:03d}{ext}" for i in range(samples)] + [f"{stem}_mean{ext}"]
 
 
 def _write_rows(path: str, header: str, rows: list[list]) -> None:
@@ -376,7 +375,7 @@ def _cmd_bench(args) -> int:
     )
     sizes = _parse_int_list(args.sizes, "size")
     _check_sizes(sizes, chain.n)
-    p0 = Distribution.random(chain.n, seed=args.seed)
+    p0 = _make_p0(args.p0, chain.n, args.seed)
     method = parse_method(args.method)
 
     def run(mode: str, j: int) -> None:
@@ -488,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--warmup", type=int, default=1)
     bench.add_argument("--trace-k", type=int, default=100, dest="trace_k")
     bench.add_argument("--out", required=True)
-    bench.set_defaults(func=_cmd_bench)
+    bench.set_defaults(func=_cmd_bench, p0="random")
 
     return parser
 

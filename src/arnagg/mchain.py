@@ -3,8 +3,10 @@
 Everything follows the row-vector convention: a distribution is a row
 vector ``p`` and one step of the chain is ``p @ P``.  Transition matrices
 are row stochastic, generator matrices have zero row sums.  Both wrappers
-carry either a dense ``numpy.ndarray`` or a CSR ``scipy.sparse`` matrix
-and validate their defining invariants on construction.
+carry either a dense ``numpy.ndarray`` or a CSR ``scipy.sparse`` matrix,
+copied from their input, and validate their defining invariants on
+construction through one routine, ``_validated_storage``, so the dense and
+the sparse form of a matrix are accepted or rejected alike.
 """
 
 from __future__ import annotations
@@ -126,55 +128,33 @@ class _MatrixBase:
 class StochasticMatrix(_MatrixBase):
     """Row-stochastic transition matrix, dense or CSR.
 
-    Construction validates that every entry is finite and >= -tol (entries
-    in ``(-tol, 0)`` are clamped to 0 afterwards) and that every row sums
-    to 1 within ``tol``.
+    Construction copies the input and validates it with
+    ``_validated_storage``: every entry finite and >= -tol, every row
+    summing to 1 within ``tol``.  Entries in ``(-tol, 0)`` are then
+    clamped to 0.
     """
 
     def __init__(self, m, tol: float = STOCHASTIC_TOL):
-        m = _unwrap(m)
-        if not sp.issparse(m):
-            m = np.array(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"transition matrix must be square, got {m.shape}")
-        _validate_entries_finite(m)
-        _validate_entries_nonnegative(m, tol)
-        sums = np.asarray(m.sum(axis=1)).ravel()
-        bad = np.nonzero(np.abs(sums - 1.0) > tol)[0]
-        if bad.size:
-            raise RowSumViolation(int(bad[0]), float(sums[bad[0]]))
-        m = _clamp_small_negatives(m, tol)
+        m = _validated_storage(m, tol, generator=False)
+        values = m.data if sp.issparse(m) else m
+        small = (values > -tol) & (values < 0.0)
+        if small.any():
+            values[small] = 0.0
+            if sp.issparse(m):
+                m.eliminate_zeros()
         super().__init__(m)
 
 
 class GeneratorMatrix(_MatrixBase):
-    """CTMC rate matrix, dense or CSR: finite entries, nonnegative off-diagonal, zero row sums."""
+    """CTMC rate matrix, dense or CSR.
+
+    Construction copies the input and validates it with
+    ``_validated_storage``: every entry finite, every off-diagonal entry
+    >= -tol, every row summing to 0 within ``tol``.
+    """
 
     def __init__(self, m, tol: float = GENERATOR_TOL):
-        m = _unwrap(m)
-        if not sp.issparse(m):
-            m = np.array(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"generator matrix must be square, got {m.shape}")
-        _validate_entries_finite(m)
-        if sp.issparse(m):
-            coo = m.tocoo()
-            coo.sum_duplicates()  # row-major order, as np.nonzero gives on the dense path
-            neg = np.nonzero((coo.row != coo.col) & (coo.data < -tol))[0]
-            if neg.size:
-                k = neg[0]
-                raise NegativeEntry(int(coo.row[k]), int(coo.col[k]), float(coo.data[k]))
-        else:
-            off = m.copy()
-            np.fill_diagonal(off, 0.0)
-            r, c = np.nonzero(off < -tol)
-            if r.size:
-                raise NegativeEntry(int(r[0]), int(c[0]), float(off[r[0], c[0]]))
-        sums = np.asarray(m.sum(axis=1)).ravel()
-        bad = np.nonzero(np.abs(sums) > tol)[0]
-        if bad.size:
-            raise GeneratorRowSumViolation(int(bad[0]), float(sums[bad[0]]))
-        super().__init__(m.tocsr() if sp.issparse(m) else m)
+        super().__init__(_validated_storage(m, tol, generator=True))
 
     @property
     def max_diag_magnitude(self) -> float:
@@ -182,42 +162,53 @@ class GeneratorMatrix(_MatrixBase):
         return float(np.max(np.abs(d))) if d.size else 0.0
 
 
-def _validate_entries_finite(m):
-    if np.isfinite(m.data if sp.issparse(m) else m).all():
-        return
-    if sp.issparse(m):
-        coo = m.tocoo()
-        k = int(np.argmin(np.isfinite(coo.data)))
-        r, c, x = coo.row[k], coo.col[k], coo.data[k]
-    else:
-        r, c = np.unravel_index(int(np.argmin(np.isfinite(m))), m.shape)
-        x = m[r, c]
-    raise InputError(f"entry ({r}, {c}) is {float(x)!r}, not finite")
+def _validated_storage(m, tol: float, generator: bool):
+    """Copy a transition or generator matrix and check its invariants.
 
-
-def _validate_entries_nonnegative(m, tol):
-    if sp.issparse(m):
-        data = m.data
-        if data.size and data.min() < -tol:
-            coo = m.tocoo()
-            k = int(np.argmin(coo.data))
-            raise NegativeEntry(int(coo.row[k]), int(coo.col[k]), float(coo.data[k]))
-    else:
-        if m.size and m.min() < -tol:
-            r, c = np.unravel_index(int(np.argmin(m)), m.shape)
-            raise NegativeEntry(int(r), int(c), float(m[r, c]))
-
-
-def _clamp_small_negatives(m, tol):
-    if sp.issparse(m):
-        m = m.tocsr().copy()
-        mask = (m.data > -tol) & (m.data < 0.0)
-        if mask.any():
-            m.data[mask] = 0.0
-            m.eliminate_zeros()
-        return m
-    m[(m > -tol) & (m < 0.0)] = 0.0
+    Dense input becomes a float ndarray.  Sparse input becomes a float CSR
+    matrix, in the caller's scipy API (a ``*_matrix`` stays one), with
+    duplicate entries summed.  The matrix must be square.  Each entry
+    check reads the stored values in row-major order and reports the first
+    offending entry, so a dense matrix and its sparse form get the same
+    verdict: entries must be finite and >= -tol (off the diagonal only,
+    for a generator), and rows must sum to 1 (0, for a generator) within
+    ``tol``.
+    """
+    kind, target = ("generator", 0.0) if generator else ("transition", 1.0)
+    m = _unwrap(m)
+    sparse = sp.issparse(m)
+    if not sparse:
+        m = np.array(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeError(f"{kind} matrix must be square, got {m.shape}")
+    if sparse:
+        m = m.astype(float).tocsr()
+        m.sum_duplicates()
+    values = m.data if sparse else m
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        r, c = _entry_position(m, bad[0])
+        raise InputError(f"entry ({r}, {c}) is {float(values.flat[bad[0]])!r}, not finite")
+    neg = np.flatnonzero(values < -tol)
+    if generator:
+        r, c = _entry_position(m, neg)
+        neg = neg[r != c]
+    if neg.size:
+        r, c = _entry_position(m, neg[0])
+        raise NegativeEntry(int(r), int(c), float(values.flat[neg[0]]))
+    sums = np.asarray(m.sum(axis=1)).ravel()
+    bad = np.flatnonzero(np.abs(sums - target) > tol)
+    if bad.size:
+        violation = GeneratorRowSumViolation if generator else RowSumViolation
+        raise violation(int(bad[0]), float(sums[bad[0]]))
     return m
+
+
+def _entry_position(m, k):
+    """Row and column of the stored value(s) at row-major index ``k``."""
+    if sp.issparse(m):
+        return np.searchsorted(m.indptr, k, side="right") - 1, m.indices[k]
+    return np.unravel_index(k, m.shape)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ vectors from plain power iteration, and conditioning from numpy's SVD.
 The exceptions are ``dynamic_geev_every_size``, the library's own
 dynamic loop before it skipped sizes, and ``stream_parse_matrixmarket``,
 its Matrix Market reader before entries went through ``np.loadtxt``; each
-is kept as the reference for the change that replaced it.
+is kept as the reference for the change that replaced it.  Matrix
+validation is checked against ``dense_validation_verdict``, plain loops
+over a dense array.
 """
 
 import itertools
@@ -19,7 +21,15 @@ import scipy.sparse as sp
 
 from arnagg.aggregate import _relation_criterion
 from arnagg.arnoldi import ArnoldiBuilder, build_aggregation
-from arnagg.errors import ComplexStationary, ParseError, ShapeError
+from arnagg.errors import (
+    ComplexStationary,
+    GeneratorRowSumViolation,
+    InputError,
+    NegativeEntry,
+    ParseError,
+    RowSumViolation,
+    ShapeError,
+)
 from arnagg.mchain import _MM_HEADER, _MM_UNBACKED_MAX
 from arnagg.orthonorm import CGSIR, orthogonality_loss
 from arnagg.schur import aggregated_stationary
@@ -179,3 +189,34 @@ def stream_parse_matrixmarket(path):
         raise ShapeError(f"header declares {dims[2]} entries, file has {len(vals)}")
     index = (np.frombuffer(rows, dtype=np.int64), np.frombuffer(cols, dtype=np.int64))
     return sp.coo_array((np.frombuffer(vals), index), shape=(dims[0], dims[1])).tocsr()
+
+
+def dense_validation_verdict(m: np.ndarray, tol: float, generator: bool):
+    """What validating the square dense array ``m`` must give, by plain loops.
+
+    Returns ``(error class, fields)`` for the first failing check, in the
+    order: a non-finite entry ``(row, col, value)``, an entry below -tol
+    (off the diagonal only, for a generator) ``(row, col, value)``, a row
+    sum farther than tol from 1 (from 0, for a generator) ``(row, sum)``.
+    Entries and rows are scanned in row-major order.  An accepted matrix
+    gives ``(None, array)``, a transition matrix with its entries in
+    ``(-tol, 0)`` set to zero.
+    """
+    n = m.shape[0]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in cells:
+        if not np.isfinite(m[i, j]):
+            return InputError, (i, j, m[i, j])
+    for i, j in cells:
+        if m[i, j] < -tol and not (generator and i == j):
+            return NegativeEntry, (i, j, m[i, j])
+    for i in range(n):
+        total = sum(m[i])
+        if abs(total - (0.0 if generator else 1.0)) > tol:
+            return (GeneratorRowSumViolation if generator else RowSumViolation), (i, total)
+    out = m.copy()
+    if not generator:
+        for i, j in cells:
+            if -tol < out[i, j] < 0.0:
+                out[i, j] = 0.0
+    return None, out

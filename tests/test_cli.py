@@ -383,6 +383,16 @@ class TestSweep:
             outs.append([r[:-1] for r in rows])
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("out, first, mean", [
+        ("out.csv", "out_s000.csv", "out_mean.csv"),
+        ("out", "out_s000.csv", "out_mean.csv"),
+        ("a.b.csv", "a.b_s000.csv", "a.b_mean.csv"),
+        ("run.1/sweep", "run.1/sweep_s000.csv", "run.1/sweep_mean.csv"),
+        (".hidden", ".hidden_s000.csv", ".hidden_mean.csv"),
+    ], ids=["csv", "no_suffix", "dotted_stem", "dotted_directory", "hidden_file"])
+    def test_sample_paths_split_the_suffix_of_the_file_name(self, out, first, mean):
+        assert cli._sample_paths(out, 2) == [first, first.replace("_s000", "_s001"), mean]
+
 
 def two_three_cycles():
     """A 6-state chain of two 3-cycles: every Krylov basis deflates at size 3."""
@@ -505,3 +515,24 @@ class TestBench:
     def test_reps_must_be_positive(self, tmp_path):
         assert run("bench", "--sizes", "4", "--n", 20, "--reps", 0,
                    "--out", tmp_path / "x.csv") == 2
+
+    def test_missing_p0_file_exits_2(self, tmp_path):
+        assert run("bench", "--sizes", "2", "--n", 20, "--reps", 1,
+                   "--p0", f"file:{tmp_path / 'missing.csv'}", "--out", tmp_path / "x.csv") == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("p0_args, want", [
+        (["--p0", "uniform"], Distribution.uniform(20)),
+        ([], Distribution.random(20, seed=3)),
+    ], ids=["uniform", "default_random"])
+    def test_p0_reaches_the_pipeline(self, tmp_path, monkeypatch, p0_args, want):
+        seen = []
+
+        def recording(chain, p0, size, method):
+            seen.append(p0)
+            return pipeline_naive(chain, p0, size, method=method)
+
+        monkeypatch.setattr(cli, "pipeline_naive", recording)
+        assert run("bench", "--sizes", "2", "--n", 20, "--reps", 1, "--seed", 3, *p0_args,
+                   "--out", tmp_path / "x.csv") == 0
+        assert seen and all(np.array_equal(p0.values, want.values) for p0 in seen)

@@ -18,6 +18,8 @@ from arnagg.errors import (
 )
 from arnagg.mchain import (
     FLOAT_FORMAT,
+    GENERATOR_TOL,
+    STOCHASTIC_TOL,
     Distribution,
     GeneratorMatrix,
     StochasticMatrix,
@@ -36,7 +38,7 @@ from arnagg.mchain import (
 )
 from arnagg.models import counterexample, random_chain, random_ncd
 
-from oracles import stream_parse_matrixmarket, transient_by_power
+from oracles import dense_validation_verdict, stream_parse_matrixmarket, transient_by_power
 
 
 class TestValidateStochastic:
@@ -85,6 +87,38 @@ class TestValidateStochastic:
         assert m.is_sparse
         with pytest.raises(RowSumViolation):
             validate_stochastic(sp.csr_array(np.array([[0.5, 0.4], [1.0, 0.0]])))
+
+    def test_first_negative_entry_in_row_major_order_is_reported(self):
+        p = np.array([[1.2, -0.05, -0.15], [0.0, 1.0, 0.0], [-0.5, 0.5, 1.0]])
+        for storage in (p, sp.csr_array(p)):
+            with pytest.raises(NegativeEntry) as err:
+                validate_stochastic(storage)
+            assert (err.value.row, err.value.col, err.value.value) == (0, 1, -0.05)
+
+    def test_sparse_duplicate_entries_are_summed_before_any_check(self):
+        # Row 0 stores (0, 1) twice, as -1 and 2: the matrix is [[0, 1], [1, 0]].
+        p = sp.csr_array((np.array([-1.0, 2.0, 1.0]), np.array([1, 1, 0]),
+                          np.array([0, 2, 3])), shape=(2, 2))
+        m = validate_stochastic(p)
+        assert m.toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert m.raw.nnz == 2
+
+    @pytest.mark.parametrize("fmt, want", [
+        (sp.csr_matrix, sp.csr_matrix), (sp.coo_matrix, sp.csr_matrix), (sp.csc_array, sp.csr_array),
+    ], ids=["csr_matrix", "coo_matrix", "csc_array"])
+    def test_raw_keeps_the_callers_scipy_api(self, fmt, want):
+        assert type(validate_stochastic(fmt(np.eye(2))).raw) is want
+        assert type(validate_generator(fmt(np.array([[-1.0, 1.0], [1.0, -1.0]]))).raw) is want
+
+    def test_sparse_input_is_stored_as_float_like_dense_input(self):
+        p = np.array([[0.5 + 1j, 0.5 - 1j], [0.0, 1.0]])
+        for storage in (np.eye(2, dtype=int), sp.csr_array(np.eye(2, dtype=int))):
+            assert validate_stochastic(storage).raw.dtype == np.float64
+        with pytest.warns(RuntimeWarning, match="imaginary"):
+            dense = validate_stochastic(p).toarray()
+        with pytest.warns(RuntimeWarning, match="imaginary"):
+            sparse = validate_stochastic(sp.csr_array(p)).toarray()
+        assert sparse.dtype == np.float64 and np.array_equal(sparse, dense)
 
 
 class TestUniformize:
@@ -185,6 +219,80 @@ class TestValidateGenerator:
         q = sp.csr_array((np.array([-1.0, -1.0, 2.0, 0.0]), np.array([0, 1, 1, 1]),
                           np.array([0, 3, 4])), shape=(2, 2))
         assert validate_generator(q).toarray().tolist() == [[-1.0, 1.0], [0.0, 0.0]]
+
+    def test_sparse_input_is_copied(self):
+        q = sp.csr_array(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        gen = validate_generator(q)
+        q.data[:] = 7.0
+        assert gen.toarray().tolist() == [[-1.0, 1.0], [1.0, -1.0]]
+
+
+@st.composite
+def validation_cases(draw):
+    """A transition or generator matrix of 1 to 5 states, with up to three faults.
+
+    Faults: an entry set below -tol, an entry set inside ``(-tol, 0)`` with
+    its row sum kept, a non-finite entry, and a shifted entry that breaks a
+    row sum.  Returns the dense matrix, whether it is a generator, and tol.
+    """
+    n = draw(st.integers(1, 5))
+    generator = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+    if generator:
+        np.fill_diagonal(m, 0.0)
+        np.fill_diagonal(m, -m.sum(axis=1))
+    else:
+        m[:, 0] += m.sum(axis=1) == 0.0
+        m /= m.sum(axis=1, keepdims=True)
+    tol = GENERATOR_TOL if generator else STOCHASTIC_TOL
+    faults = st.sampled_from(["negative", "small_negative", "non_finite", "row_sum"])
+    for fault in draw(st.lists(faults, max_size=3)):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if fault == "negative":
+            m[i, j] = -draw(st.sampled_from([0.05, 0.5, 3.0]))
+        elif fault == "small_negative":
+            m[i, i] += m[i, j] + tol / 2
+            m[i, j] = -tol / 2
+        elif fault == "non_finite":
+            m[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        else:
+            m[i, j] += draw(st.sampled_from([1e-9, 0.1, -0.1]))
+    return m, generator, tol
+
+
+def duplicate_split_coo(m):
+    """COO form of ``m`` that stores each finite nonzero x twice, as 2x and -x."""
+    coo = sp.coo_array(m)
+    finite = np.isfinite(coo.data)
+    data = np.concatenate([np.where(finite, 2.0 * coo.data, coo.data), -coo.data[finite]])
+    index = (np.concatenate([coo.row, coo.row[finite]]), np.concatenate([coo.col, coo.col[finite]]))
+    return sp.coo_array((data, index), shape=m.shape)
+
+
+class TestValidationAcrossStorages:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(validation_cases())
+    def test_every_storage_gets_the_dense_reference_verdict(self, case):
+        m, generator, tol = case
+        error, expected = dense_validation_verdict(m, tol, generator)
+        validate = validate_generator if generator else validate_stochastic
+        storages = (m, sp.csr_array(m), sp.csc_array(m), sp.coo_array(m), duplicate_split_coo(m))
+        for storage in storages:
+            if error is None:
+                assert np.array_equal(validate(storage, tol=tol).toarray(), expected)
+                continue
+            with pytest.raises(InputError) as err:
+                validate(storage, tol=tol)
+            assert type(err.value) is error
+            if error is InputError:
+                i, j, x = expected
+                assert str(err.value) == f"entry ({i}, {j}) is {float(x)!r}, not finite"
+            elif error is NegativeEntry:
+                assert (err.value.row, err.value.col, err.value.value) == expected
+            else:
+                assert err.value.row == expected[0]
+                assert err.value.row_sum == pytest.approx(expected[1], rel=1e-12, abs=1e-15)
 
 
 class TestTransient:
