@@ -48,7 +48,6 @@ from .errors import (
     NoConvergence,
     NumericalError,
     ParseError,
-    RankDeficient,
     RowSumViolation,
     ShapeError,
     ZeroInitialVector,
@@ -81,7 +80,6 @@ from .orthonorm import (
     OrthStepResult,
     orthogonality_loss,
     orthogonalize_step,
-    orthonormalize_all,
     parse_method,
 )
 from .schur import (

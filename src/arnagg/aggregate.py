@@ -45,6 +45,8 @@ from .schur import aggregated_stationary
 
 # Entry threshold of the "some entry is too large" normalization rule.
 ENTRY_CAP = 9.0 / 8.0
+# Slack on every threshold of the conditional normalization rules.
+CONDITION_TOL = 1e-6
 
 TRACE_CSV_HEADER = "k,e_k,bound_specific,bound_general"
 
@@ -56,17 +58,15 @@ class NormalizationPolicy:
     mode 'never' leaves vectors untouched, 'always' rescales every time,
     'conditional' rescales only when one of the sufficient conditions for
     the rescaling not to hurt is met (two of them proven, three sampled
-    conjectures; see ``_should_normalize``).
+    conjectures; see ``_should_normalize``), each threshold with the fixed
+    slack ``CONDITION_TOL``.
     """
 
     mode: str
-    tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.mode not in ("never", "conditional", "always"):
             raise InputError(f"unknown normalization mode {self.mode!r}")
-        if not self.tolerance > 0.0:
-            raise InputError(f"tolerance must be positive, got {self.tolerance!r}")
 
 
 NEVER = NormalizationPolicy("never")
@@ -88,7 +88,7 @@ def _should_normalize(v: np.ndarray, policy: NormalizationPolicy) -> bool:
         return False
     if policy.mode == "always":
         return True
-    eps = policy.tolerance
+    eps = CONDITION_TOL
     if np.any(v <= -1.0 - eps):
         return True
     if np.any(v >= ENTRY_CAP + eps):

@@ -95,39 +95,43 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return out
 
 
+def _model(name: str, seed, param):
+    """Build model ``name``: its chain and start (None but for the counterexample).
+
+    ``param(key, kind)`` gives parameter ``key`` as a ``kind``, from ``gen``'s
+    options or ``--gen``'s spec, each syntax with its own defaults.
+    """
+    if name == "counterexample":
+        return counterexample(param("epsilon", float))
+    if name == "random":
+        return random_chain(param("n", int), density=param("density", float), seed=seed,
+                            sparse=param("sparse", bool)), None
+    if name == "ncd":
+        return random_ncd(param("blocks", int), param("block_size", int),
+                          param("epsilon", float), seed=seed), None
+    raise InputError(f"unknown generator {name!r}")
+
+
 def _parse_gen_spec(spec: str, seed) -> StochasticMatrix:
     """Build a chain from 'name:key=value,...' generator syntax."""
     name, _, rest = spec.partition(":")
-    kv = {}
+    kv = {"epsilon": "0.5" if name == "counterexample" else "1e-4", "density": "1.0", "sparse": "0"}
     if rest:
         for item in rest.split(","):
             key, eq, value = item.partition("=")
             if not eq:
                 raise InputError(f"bad generator parameter {item!r}")
             kv[key.strip()] = value.strip()
+
+    def param(key, kind):
+        return kv[key] in ("1", "true", "yes") if kind is bool else kind(kv[key])
+
     try:
-        if name == "counterexample":
-            p, _ = counterexample(float(kv.get("epsilon", "0.5")))
-            return p
-        if name == "random":
-            return random_chain(
-                int(kv["n"]),
-                density=float(kv.get("density", "1.0")),
-                seed=seed,
-                sparse=kv.get("sparse", "0") in ("1", "true", "yes"),
-            )
-        if name == "ncd":
-            return random_ncd(
-                int(kv["blocks"]),
-                int(kv["block_size"]),
-                float(kv.get("epsilon", "1e-4")),
-                seed=seed,
-            )
+        return _model(name, seed, param)[0]
     except KeyError as exc:
         raise InputError(f"generator {name!r} is missing parameter {exc}") from None
     except ValueError as exc:
         raise InputError(f"bad generator parameter in {spec!r}: {exc}") from None
-    raise InputError(f"unknown generator {name!r}")
 
 
 def _load_chain(args) -> StochasticMatrix:
@@ -236,18 +240,13 @@ def _write_rows(path: str, header: str, rows: list[list]) -> None:
 
 def _cmd_gen(args) -> int:
     out = args.out
-    if args.model == "counterexample":
-        p, p0 = counterexample(args.epsilon)
-        save_matrix(p, f"{out}.mtx")
-        save_distribution(p0, f"{out}.p0.csv")
-        print(f"wrote {out}.mtx and {out}.p0.csv (n=3)")
-        return EXIT_OK
-    if args.model == "random":
-        p = random_chain(args.n, density=args.density, seed=args.seed, sparse=args.sparse)
-    else:
-        p = random_ncd(args.blocks, args.block_size, args.epsilon, seed=args.seed)
+    p, p0 = _model(args.model, getattr(args, "seed", None), lambda key, kind: getattr(args, key))
     save_matrix(p, f"{out}.mtx")
-    print(f"wrote {out}.mtx (n={p.n})")
+    if p0 is None:
+        print(f"wrote {out}.mtx (n={p.n})")
+    else:
+        save_distribution(p0, f"{out}.p0.csv")
+        print(f"wrote {out}.mtx and {out}.p0.csv (n={p.n})")
     return EXIT_OK
 
 

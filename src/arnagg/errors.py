@@ -68,17 +68,6 @@ class ShapeError(InputError):
     pass
 
 
-class RankDeficient(InputError):
-    """Input vectors (or matrix columns) are numerically dependent.
-
-    ``index`` is the 0-based position of the offending vector/column.
-    """
-
-    def __init__(self, index):
-        self.index = index
-        super().__init__(f"vector {index} is numerically in the span of its predecessors")
-
-
 class ZeroInitialVector(InputError):
     pass
 

@@ -1,16 +1,17 @@
 """Markov chain core: matrix types, norms, transient stepping, and I/O.
 
 Everything follows the row-vector convention: a distribution is a row
-vector ``p`` and one step of the chain is ``p @ P``.  Transition matrices
-are row stochastic, generator matrices have zero row sums.  Both wrappers
-carry either a dense ``numpy.ndarray`` or a CSR ``scipy.sparse`` matrix,
-copied from their input, and validate their defining invariants on
-construction through one routine, ``_validated_storage``, so the dense and
+vector ``p`` and one step of the chain is ``p @ P``, ``P.vec_mul(p)``.
+Transition matrices are row stochastic, generator matrices have zero row
+sums.  Each wrapper is built only by its constructor, which copies a dense
+``numpy.ndarray`` or a CSR ``scipy.sparse`` matrix from its input and
+validates it through one routine, ``_validated_storage``, so the dense and
 the sparse form of a matrix are accepted or rejected alike.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -53,7 +54,8 @@ def as_vector(p) -> np.ndarray:
 class _MatrixBase:
     """Shared dense/sparse plumbing for the two validated matrix types."""
 
-    # Make ndarray @ wrapper defer to __rmatmul__ instead of broadcasting.
+    # ndarray @ wrapper and ndarray * wrapper raise TypeError instead of
+    # building an object array; products go through vec_mul and mat_mul.
     __array_ufunc__ = None
 
     def __init__(self, storage):
@@ -101,24 +103,6 @@ class _MatrixBase:
             raise DimensionMismatch(f"matrix with {a.shape[1]} columns against {self.n} states")
         r = a @ self._m
         return np.asarray(r)
-
-    def __rmatmul__(self, other):
-        other = np.asarray(other, dtype=float)
-        if other.ndim == 1:
-            return self.vec_mul(other)
-        return self.mat_mul(other)
-
-    def with_storage(self, storage: str):
-        """Return the same matrix with 'dense' or 'sparse' backing."""
-        if storage == "dense":
-            m = self.toarray()
-        elif storage == "sparse":
-            m = self._m if self.is_sparse else sp.csr_array(self._m)
-        else:
-            raise ValueError(f"unknown storage {storage!r}")
-        clone = object.__new__(type(self))
-        _MatrixBase.__init__(clone, m)
-        return clone
 
     def __repr__(self):
         kind = "sparse" if self.is_sparse else "dense"
@@ -242,9 +226,6 @@ class Distribution:
     def __len__(self):
         return self.values.shape[0]
 
-    def norm1(self) -> float:
-        return float(np.abs(self.values).sum())
-
     @classmethod
     def point(cls, n: int, i: int) -> "Distribution":
         v = np.zeros(n)
@@ -363,8 +344,8 @@ def weighted_abs_row_sums(v, m) -> float:
 # size line only, blank lines anywhere.  Header and size line are checked
 # in Python before anything is allocated; one np.loadtxt call reads the
 # entries, three fields a line in numpy's integer and float grammar.  A bad
-# entry is a ParseError at the section's first line; the message carries
-# numpy's row and column.
+# entry is a ParseError at the section's first line; the message names the
+# entry by its 1-based number in the section, blank lines not counted.
 #
 # All readers decode UTF-8 whatever the locale, an undecodable byte as
 # U+FFFD, which no numeric field accepts: it ends in a ParseError.
@@ -439,14 +420,9 @@ def _parse_matrixmarket(path):
         if dims is None:
             raise ParseError(lineno, "missing size line")
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                # Older numpy only warned, and truncated, when an int field read "1.0".
-                warnings.simplefilter("error", DeprecationWarning)
-                entries = np.loadtxt(fh, comments=None, ndmin=1, dtype=[
-                    ("row", np.int64), ("col", np.int64), ("value", np.float64)])
-        except (ValueError, DeprecationWarning) as err:
-            raise ParseError(lineno + 1, f"malformed entry section: {err}") from None
+            entries = _mm_entries(fh)
+        except (ValueError, DeprecationWarning):
+            raise ParseError(lineno + 1, _malformed_entry(fh, lineno)) from None
     i, j = entries["row"], entries["col"]
     outside = (i < 1) | (i > dims[0]) | (j < 1) | (j > dims[1])
     if outside.any():
@@ -456,6 +432,32 @@ def _parse_matrixmarket(path):
     if len(entries) != dims[2]:
         raise ShapeError(f"header declares {dims[2]} entries, file has {len(entries)}")
     return sp.coo_array((entries["value"], (i - 1, j - 1)), shape=(dims[0], dims[1])).tocsr()
+
+
+def _mm_entries(lines):
+    """Read Matrix Market entry lines into a (row, col, value) record array."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # Older numpy only warned, and truncated, when an int field read "1.0".
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, comments=None, ndmin=1, dtype=[
+            ("row", np.int64), ("col", np.int64), ("value", np.float64)])
+
+
+def _malformed_entry(fh, skip: int) -> str:
+    """Name the first entry after line ``skip`` of ``fh`` that ``_mm_entries`` rejects.
+
+    The entries are read again, one at a time, so the grammar is numpy's.
+    """
+    fh.seek(0)
+    lines = filter(None, map(str.strip, itertools.islice(fh, skip, None)))
+    entry = (0, "")
+    try:
+        # numpy fails on the last entry handed over; the walrus binds ``entry`` here.
+        _mm_entries((entry := e)[1] for e in enumerate(lines, 1))
+    except (ValueError, DeprecationWarning):
+        pass
+    return f"malformed entry section: entry {entry[0]} {entry[1]!r} is not 'row col value'"
 
 
 def _parse_csv_matrix(path):
@@ -481,7 +483,7 @@ def _parse_csv_matrix(path):
     return np.array(rows)
 
 
-def load_matrix(path, fmt: str | None = None, kind: str = "stochastic", tol: float | None = None):
+def load_matrix(path, fmt: str | None = None, kind: str = "stochastic"):
     """Load a matrix and validate it as the requested kind.
 
     kind is one of 'stochastic', 'generator', or 'raw' (no validation,
@@ -492,9 +494,9 @@ def load_matrix(path, fmt: str | None = None, kind: str = "stochastic", tol: flo
     if kind == "raw":
         return m
     if kind == "stochastic":
-        return StochasticMatrix(m, tol=STOCHASTIC_TOL if tol is None else tol)
+        return StochasticMatrix(m)
     if kind == "generator":
-        return GeneratorMatrix(m, tol=GENERATOR_TOL if tol is None else tol)
+        return GeneratorMatrix(m)
     raise InputError(f"unknown matrix kind {kind!r}")
 
 
@@ -507,17 +509,8 @@ def save_distribution(d, path) -> None:
 
 
 def load_distribution(path, strict: bool = True) -> Distribution:
-    """Read a single-column CSV distribution."""
-    vals = []
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                vals.append(float(text))
-            except ValueError:
-                raise ParseError(lineno, f"malformed value {text!r}") from None
-    if not vals:
-        raise ParseError(1, "empty file")
-    return Distribution(np.array(vals), strict=strict)
+    """Read a single-column CSV distribution with the CSV matrix reader."""
+    m = _parse_csv_matrix(path)
+    if m.shape[1] != 1:
+        raise ShapeError(f"distribution file has {m.shape[1]} columns, expected 1")
+    return Distribution(m[:, 0], strict=strict)

@@ -15,35 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, InputError, RankDeficient
+from .errors import DimensionMismatch, EmptyInput, InputError
 
-DEFAULT_KAPPA = 1.0 / math.sqrt(2.0)
-
-# Residual norms at or below this fraction of the input norm mean the vector
-# was numerically in the span of the basis.  The exact-zero test from the
-# textbook algorithm never fires in floating point.
-RANK_TOL = 1e-13
+# Re-pass threshold of the *ir variants: the second pass runs iff the
+# residual norm after pass one drops below KAPPA * norm(v).
+KAPPA = 1.0 / math.sqrt(2.0)
 
 VARIANTS = ("cgs", "mgs", "cgs2", "mgs2", "cgsir", "mgsir")
 
 
 @dataclass(frozen=True)
 class OrthMethod:
-    """An orthogonalization strategy: variant tag plus *ir re-pass threshold.
-
-    ``kappa`` only matters for the ``cgsir``/``mgsir`` variants: the second
-    pass runs iff the residual norm after pass one drops below
-    ``kappa * norm(v)``.
-    """
+    """An orthogonalization strategy, named by its variant tag."""
 
     variant: str
-    kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InputError(f"unknown orthogonalization variant {self.variant!r}")
-        if not 0.0 < self.kappa < 1.0:
-            raise InputError(f"kappa must be in (0, 1), got {self.kappa!r}")
 
     @property
     def classical(self) -> bool:
@@ -130,40 +119,11 @@ def orthogonalize_step(v, basis, method: OrthMethod = CGSIR) -> OrthStepResult:
     h = one_pass(r, q)
     if q.shape[0]:
         second = method.always_twice or (
-            method.selective and float(np.linalg.norm(r)) < method.kappa * v_norm
+            method.selective and float(np.linalg.norm(r)) < KAPPA * v_norm
         )
         if second:
             h = h + one_pass(r, q)
     return OrthStepResult(r, h, float(np.linalg.norm(r)))
-
-
-def orthonormalize_all(vectors, method: OrthMethod = CGSIR):
-    """Orthonormalize a sequence of vectors, returning (basis, R).
-
-    ``R`` is upper triangular with ``R[i, k]`` the coefficient of basis
-    vector i in input vector k and ``R[k, k]`` the residual norm, so that
-    stacking inputs and basis as rows gives ``V = R.T @ Q``.
-
-    Raises RankDeficient(k) when input k is numerically dependent on its
-    predecessors.
-    """
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
-    if not vectors:
-        raise EmptyInput("no vectors to orthonormalize")
-    m = len(vectors)
-    n = vectors[0].shape[0]
-    basis = np.empty((m, n))
-    r = np.zeros((m, m))
-    for k, v in enumerate(vectors):
-        if v.shape != (n,):
-            raise DimensionMismatch(f"vector {k} has shape {v.shape}, expected ({n},)")
-        step = orthogonalize_step(v, basis[:k], method)
-        r[:k, k] = step.coefficients
-        r[k, k] = step.residual_norm
-        if step.residual_norm <= RANK_TOL * np.linalg.norm(v):
-            raise RankDeficient(k)
-        basis[k] = step.residual_vector / step.residual_norm
-    return [basis[k] for k in range(m)], r
 
 
 def orthogonality_loss(basis) -> float:

@@ -7,7 +7,9 @@ vectors from plain power iteration, and conditioning from numpy's SVD.
 The exceptions are ``dynamic_geev_every_size``, the library's own
 dynamic loop before it skipped sizes, and ``stream_parse_matrixmarket``,
 its Matrix Market reader before entries went through ``np.loadtxt``; each
-is kept as the reference for the change that replaced it.  Matrix
+is kept as the reference for the change that replaced it.
+``orthonormalize_rows`` is a test harness, not a reference: it runs the
+library's ``orthogonalize_step`` over a sequence of vectors.  Matrix
 validation is checked against ``dense_validation_verdict``, plain loops
 over a dense array.
 """
@@ -31,7 +33,7 @@ from arnagg.errors import (
     ShapeError,
 )
 from arnagg.mchain import _MM_HEADER, _MM_UNBACKED_MAX
-from arnagg.orthonorm import CGSIR, orthogonality_loss
+from arnagg.orthonorm import CGSIR, orthogonality_loss, orthogonalize_step
 from arnagg.schur import aggregated_stationary
 
 
@@ -92,6 +94,24 @@ def ill_conditioned_vectors(count: int, dim: int, cond: float, seed=0) -> list:
     sing = cond ** (-np.arange(count) / (count - 1))
     v = (u * sing) @ w.T
     return [v[:, i].copy() for i in range(count)]
+
+
+def orthonormalize_rows(vectors, method=CGSIR):
+    """Gram-Schmidt over ``vectors`` with ``orthogonalize_step``; returns (basis, R).
+
+    ``R`` is upper triangular with ``R[i, k]`` the coefficient of basis
+    vector i in input vector k and ``R[k, k]`` the residual norm, so that
+    stacking inputs and basis as rows gives ``V = R.T @ Q``.
+    """
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    basis = np.empty((len(vectors), vectors[0].shape[0]))
+    r = np.zeros((len(vectors), len(vectors)))
+    for k, v in enumerate(vectors):
+        step = orthogonalize_step(v, basis[:k], method)
+        r[:k, k] = step.coefficients
+        r[k, k] = step.residual_norm
+        basis[k] = step.residual_vector / step.residual_norm
+    return list(basis), r
 
 
 def krylov_matrix(p_dense: np.ndarray, p0: np.ndarray, count: int) -> np.ndarray:

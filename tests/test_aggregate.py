@@ -197,8 +197,6 @@ class TestNormalize:
     def test_policy_validation(self):
         with pytest.raises(InputError):
             NormalizationPolicy("sometimes")
-        with pytest.raises(InputError):
-            NormalizationPolicy("conditional", tolerance=0.0)
         assert parse_policy("cond").mode == "conditional"
 
 

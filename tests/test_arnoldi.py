@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from arnagg.aggregate import pipeline_dynamic, pipeline_naive, pipeline_schur
 from arnagg.arnoldi import (
@@ -92,7 +93,7 @@ class TestArnoldiIterate:
 
     def test_sparse_chain_matches_dense(self):
         pd = random_chain(30, 0.2, seed=31)
-        ps = pd.with_storage("sparse")
+        ps = validate_stochastic(sp.csr_array(pd.raw))
         p0 = Distribution.random(30, seed=32)
         fd = arnoldi_iterate(pd, p0, 10)
         fs = arnoldi_iterate(ps, p0, 10)

@@ -71,6 +71,26 @@ class TestGen:
                    "--out", tmp_path / "n") == 0
         assert load_matrix(tmp_path / "n.mtx").n == 8
 
+    @pytest.mark.parametrize("model, spec, suffix", [
+        (["ncd", "--blocks", 3, "--block-size", 4, "--epsilon", 1e-3],
+         "ncd:blocks=3,block_size=4,epsilon=1e-3", "csv"),
+        (["random", "--n", 30, "--density", 0.3], "random:n=30,density=0.3", "csv"),
+        (["random", "--n", 30, "--density", 0.3, "--sparse"],
+         "random:n=30,density=0.3,sparse=1", "mtx"),
+    ], ids=["ncd", "random", "random_sparse"])
+    def test_gen_and_gen_spec_build_the_same_chain(self, tmp_path, model, spec, suffix):
+        assert run("gen", *model, "--seed", 2, "--out", tmp_path / "g") == 0
+        # --input stores a .csv chain dense and a .mtx chain sparse; match --gen's storage.
+        chain = tmp_path / f"g.{suffix}"
+        if suffix == "csv":
+            save_matrix(load_matrix(tmp_path / "g.mtx"), chain)
+        common = ["--p0", "random", "--seed", 2, "--size", 6]
+        assert run("aggregate", "--input", chain, *common, "--out", tmp_path / "a") == 0
+        assert run("aggregate", "--gen", spec, *common, "--out", tmp_path / "b") == 0
+        for part in ("step_matrix", "disaggregation", "initial", "stationary"):
+            assert (tmp_path / f"a.{part}.csv").read_bytes() \
+                == (tmp_path / f"b.{part}.csv").read_bytes()
+
 
 class TestUniformize:
     def test_zero_generator_gives_identity_file(self, tmp_path):
@@ -158,6 +178,14 @@ class TestAggregate:
         p0 = f"file:{path}" if option == "--p0" else "uniform"
         assert run("aggregate", *chain, "--p0", p0, "--size", 1, "--out", tmp_path / "agg") == 2
         assert "malformed" in capsys.readouterr().err
+        assert not list(tmp_path.glob("agg*"))
+
+    def test_multi_column_p0_file_exits_2(self, tmp_path, capsys):
+        p0 = tmp_path / "p0.csv"
+        p0.write_text("0.5,0.5\n0.5,0.5\n")
+        assert run("aggregate", "--gen", "random:n=2", "--p0", f"file:{p0}", "--size", 1,
+                   "--out", tmp_path / "agg") == 2
+        assert "2 columns, expected 1" in capsys.readouterr().err
         assert not list(tmp_path.glob("agg*"))
 
     def test_non_integer_point_index_exits_2(self, tmp_path, capsys):

@@ -390,8 +390,8 @@ class TestStorageEquivalence:
     def test_dense_and_sparse_products_agree(self, rng):
         for n in (5, 40, 200):
             p = random_chain(n, 0.3, seed=n)
-            dense = p.with_storage("dense")
-            sparse = p.with_storage("sparse")
+            dense = StochasticMatrix(p.toarray())
+            sparse = StochasticMatrix(sp.csr_array(p.raw))
             for _ in range(5):
                 v = rng.standard_normal(n)
                 a, b = dense.vec_mul(v), sparse.vec_mul(v)
@@ -404,12 +404,19 @@ class TestStorageEquivalence:
     def test_mat_mul_agrees(self, rng):
         p = random_chain(30, 0.4, seed=5)
         a = rng.standard_normal((4, 30))
-        assert np.allclose(a @ p.with_storage("sparse").raw, a @ p.toarray(), atol=1e-14)
+        assert np.allclose(a @ StochasticMatrix(sp.csr_array(p.raw)).raw, a @ p.toarray(),
+                           atol=1e-14)
 
     def test_rmatmul_sugar(self):
-        p = validate_stochastic(np.eye(3))
+        # No ``v @ p`` sugar: an ndarray operand raises, never an object array.
         v = np.array([0.2, 0.3, 0.5])
-        assert np.array_equal(v @ p, v)
+        for p in (validate_stochastic(np.eye(3)), validate_stochastic(sp.eye_array(3).tocsr())):
+            with pytest.raises(TypeError):
+                v @ p
+            with pytest.raises(TypeError):
+                v * p
+            with pytest.raises(TypeError):
+                np.ones((2, 3)) @ p
 
 
 @st.composite
@@ -511,6 +518,12 @@ class TestMatrixIO:
         again = load_distribution(path)
         assert np.array_equal(again.values, d.values)
 
+    def test_multi_column_distribution_is_shape_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("0.5,0.5\n0.25,0.75\n")
+        with pytest.raises(ShapeError, match="2 columns, expected 1"):
+            load_distribution(path)
+
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
@@ -587,6 +600,14 @@ class TestMatrixMarketReader:
         with pytest.raises(ParseError, match="row") as err:
             load_matrix(path)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("entry", ["1 1 abc", "2 2 0.5 7", "2 2"])
+    def test_malformed_entry_is_named_by_its_entry_number(self, tmp_path, entry):
+        path = mm_file(tmp_path, "2 2 2", "1 2 0.5", "", entry)
+        with pytest.raises(ParseError) as err:
+            load_matrix(path)
+        assert f"entry 2 '{entry}'" in str(err.value)
+        assert "usecols" not in str(err.value) and err.value.line == 3
 
     def test_first_entry_outside_shape_is_reported(self, tmp_path):
         path = mm_file(tmp_path, "2 3 4", "1 1 1.0", "1 4 1.0", "0 1 1.0", "2 2 1.0")

@@ -3,22 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from arnagg.errors import DimensionMismatch, EmptyInput, InputError, RankDeficient
+from arnagg import orthonorm
+from arnagg.errors import DimensionMismatch, EmptyInput, InputError
 from arnagg.orthonorm import (
     CGS,
     CGS2,
     CGSIR,
     MGS,
     MGS2,
+    KAPPA,
     MGSIR,
     OrthMethod,
     orthogonality_loss,
     orthogonalize_step,
-    orthonormalize_all,
     parse_method,
 )
 
-from oracles import ill_conditioned_vectors
+from oracles import ill_conditioned_vectors, orthonormalize_rows
 
 ALL_METHODS = (CGS, MGS, CGS2, MGS2, CGSIR, MGSIR)
 STABLE_METHODS = (CGS2, MGS2, CGSIR, MGSIR)
@@ -35,9 +36,7 @@ class TestOrthMethod:
         assert parse_method("MGS2") == MGS2
 
     def test_kappa_default_and_range(self):
-        assert CGSIR.kappa == pytest.approx(1 / math.sqrt(2))
-        with pytest.raises(InputError):
-            OrthMethod("cgsir", kappa=1.0)
+        assert KAPPA == pytest.approx(1 / math.sqrt(2))
         with pytest.raises(InputError):
             OrthMethod("nope")
 
@@ -103,38 +102,49 @@ class TestOrthogonalizeStep:
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.residual_vector, b.residual_vector)
 
+    @pytest.mark.parametrize("method, pass_name", [(CGSIR, "_pass_classical"),
+                                                   (MGSIR, "_pass_modified")],
+                             ids=["cgsir", "mgsir"])
+    def test_selective_second_pass_threshold_is_kappa(self, monkeypatch, method, pass_name):
+        one_pass = getattr(orthonorm, pass_name)
+        passes = []
+        monkeypatch.setattr(orthonorm, pass_name, lambda r, q: passes.append(1) or one_pass(r, q))
+
+        def passes_at(ratio):
+            # Residual norm after one pass over e1 is ``ratio`` times the input norm.
+            passes.clear()
+            orthogonalize_step([math.sqrt(1.0 - ratio**2), ratio], [np.eye(2)[0]], method)
+            return len(passes)
+
+        assert (passes_at(0.70), passes_at(0.72)) == (2, 1)
+        monkeypatch.setattr(orthonorm, "KAPPA", 0.5)
+        assert (passes_at(0.70), passes_at(0.45)) == (1, 2)
+
 
 class TestOrthonormalizeAll:
+    """``orthogonalize_step``'s coefficients, through the ``orthonormalize_rows`` harness."""
+
     def test_orthonormal_input_is_fixed(self, rng):
         vs = random_orthonormal_rows(4, 6, rng)
-        basis, r = orthonormalize_all(vs, CGS)
+        basis, r = orthonormalize_rows(vs, CGS)
         for got, given in zip(basis, vs):
             assert np.abs(got - given).max() <= 1e-14
         assert np.abs(r - np.eye(4)).max() <= 1e-14
 
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.variant)
     def test_hand_worked_two_vector_case(self, method):
-        basis, r = orthonormalize_all([np.array([1.0, 1.0]), np.array([1.0, 0.0])], method)
+        basis, r = orthonormalize_rows([np.array([1.0, 1.0]), np.array([1.0, 0.0])], method)
         s = 1 / math.sqrt(2)
         assert np.allclose(basis[0], [s, s], atol=1e-15)
         assert np.allclose(basis[1], [s, -s], atol=1e-15)
         assert np.allclose(r, [[math.sqrt(2), s], [0.0, s]], atol=1e-15)
 
-    def test_dependent_input_raises(self):
-        with pytest.raises(RankDeficient) as err:
-            orthonormalize_all([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
-        assert err.value.index == 1
-
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.variant)
     def test_reconstruction_from_r(self, method, rng):
         vs = [rng.standard_normal(7) for _ in range(5)]
-        basis, r = orthonormalize_all(vs, method)
+        basis, r = orthonormalize_rows(vs, method)
         rebuilt = r.T @ np.vstack(basis)
         assert np.abs(rebuilt - np.vstack(vs)).max() <= 1e-12
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            orthonormalize_all([])
 
 
 class TestOrthogonalityLoss:
@@ -155,14 +165,14 @@ class TestStabilityProperties:
     def test_all_methods_keep_loss_small_on_well_conditioned_input(self, rng):
         vs = [rng.standard_normal(30) for _ in range(12)]
         for method in ALL_METHODS:
-            basis, _ = orthonormalize_all(vs, method)
+            basis, _ = orthonormalize_rows(vs, method)
             assert orthogonality_loss(basis) <= 1e-10
 
     def test_methods_agree_on_well_conditioned_input(self, rng):
         vs = [rng.standard_normal(20) for _ in range(8)]
-        reference, _ = orthonormalize_all(vs, CGS)
+        reference, _ = orthonormalize_rows(vs, CGS)
         for method in (MGS, CGS2, MGS2):
-            basis, _ = orthonormalize_all(vs, method)
+            basis, _ = orthonormalize_rows(vs, method)
             assert np.abs(np.vstack(basis) - np.vstack(reference)).max() <= 1e-8
 
     def test_reorthogonalized_variants_beat_plain_cgs_when_ill_conditioned(self):
@@ -170,7 +180,7 @@ class TestStabilityProperties:
         assert np.linalg.cond(np.vstack(vs)) >= 1e8
         loss = {}
         for method in (CGS, CGS2, MGS2, CGSIR):
-            basis, _ = orthonormalize_all(vs, method)
+            basis, _ = orthonormalize_rows(vs, method)
             loss[method.variant] = orthogonality_loss(basis)
         assert loss["cgs"] > loss["cgs2"]
         assert loss["cgs"] > loss["mgs2"]
