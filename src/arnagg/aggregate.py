@@ -32,7 +32,6 @@ from .errors import (
     ZeroVector,
 )
 from .mchain import (
-    FLOAT_FORMAT,
     Distribution,
     StochasticMatrix,
     _checkpoint_walk,
@@ -47,8 +46,6 @@ from .schur import aggregated_stationary
 ENTRY_CAP = 9.0 / 8.0
 # Slack on every threshold of the conditional normalization rules.
 CONDITION_TOL = 1e-6
-
-TRACE_CSV_HEADER = "k,e_k,bound_specific,bound_general"
 
 
 @dataclass(frozen=True)
@@ -173,23 +170,8 @@ class ErrorTrace:
     criterion: float | None = None
     stationary_residual: float | None = None
 
-    def to_csv(self, path) -> None:
-        """Write ``k,e_k,bound_specific,bound_general`` rows (17 sig digits)."""
-        with open(path, "w") as fh:
-            fh.write(format_trace_csv(self))
-
     def __len__(self):
         return len(self.steps)
-
-
-def format_trace_csv(trace: ErrorTrace) -> str:
-    lines = [TRACE_CSV_HEADER]
-    for i, k in enumerate(trace.steps):
-        lines.append(
-            f"{int(k)},{FLOAT_FORMAT % trace.errors[i]},"
-            f"{FLOAT_FORMAT % trace.bound_specific[i]},{FLOAT_FORMAT % trace.bound_general[i]}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def error_trace(p_mat: StochasticMatrix, p0, agg: Aggregation, ks,

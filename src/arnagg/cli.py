@@ -28,7 +28,6 @@ import numpy as np
 
 from .aggregate import (
     NEVER,
-    TRACE_CSV_HEADER,
     NormalizationPolicy,
     _error_traces,
     error_trace,
@@ -43,6 +42,7 @@ from .mchain import (
     FLOAT_FORMAT,
     Distribution,
     StochasticMatrix,
+    _write_csv,
     load_distribution,
     load_matrix,
     save_distribution,
@@ -59,9 +59,14 @@ EXIT_NUMERICAL = 3
 
 POLICY_CHOICES = ("never", "cond", "always")
 
+TRACE_CSV_HEADER = "k,e_k,bound_specific,bound_general"
 
-def _fmt(x) -> str:
-    return FLOAT_FORMAT % float(x)
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take no negative seed."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return int(text)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -116,22 +121,28 @@ def _parse_gen_spec(spec: str, seed) -> StochasticMatrix:
     """Build a chain from 'name:key=value,...' generator syntax."""
     name, _, rest = spec.partition(":")
     kv = {"epsilon": "0.5" if name == "counterexample" else "1e-4", "density": "1.0", "sparse": "0"}
+    unread = set()
     if rest:
         for item in rest.split(","):
             key, eq, value = item.partition("=")
             if not eq:
                 raise InputError(f"bad generator parameter {item!r}")
             kv[key.strip()] = value.strip()
+            unread.add(key.strip())
 
     def param(key, kind):
+        unread.discard(key)
         return kv[key] in ("1", "true", "yes") if kind is bool else kind(kv[key])
 
     try:
-        return _model(name, seed, param)[0]
+        chain = _model(name, seed, param)[0]
     except KeyError as exc:
         raise InputError(f"generator {name!r} is missing parameter {exc}") from None
     except ValueError as exc:
         raise InputError(f"bad generator parameter in {spec!r}: {exc}") from None
+    if unread:
+        raise InputError(f"generator {name!r} has no parameter {min(unread)!r}")
+    return chain
 
 
 def _load_chain(args) -> StochasticMatrix:
@@ -226,13 +237,6 @@ def _sample_paths(out: str, samples: int) -> list[str]:
     return [f"{stem}_s{i:03d}{ext}" for i in range(samples)] + [f"{stem}_mean{ext}"]
 
 
-def _write_rows(path: str, header: str, rows: list[list]) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(x if isinstance(x, str) else _fmt(x) for x in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -279,7 +283,7 @@ def _cmd_aggregate(args) -> int:
     if agg.stationary is not None:
         save_distribution(agg.stationary, f"{out}.stationary.csv")
         written.append("stationary")
-    crit = "" if agg.criterion is None else f" criterion={_fmt(agg.criterion)}"
+    crit = "" if agg.criterion is None else f" criterion={FLOAT_FORMAT % agg.criterion}"
     print(f"size={agg.size}{crit} files={','.join(written)}")
     return EXIT_OK
 
@@ -305,12 +309,12 @@ def _run_jobs(cfg: RunConfig, header: str, sample_rows) -> int:
         per_sample = list(pool.map(lambda sample: sample_rows(cfg, sample),
                                    range(cfg.samples)))
     if cfg.samples == 1:
-        _write_rows(cfg.out, header, per_sample[0])
+        _write_csv(cfg.out, per_sample[0], header)
         print(f"wrote {cfg.out}")
         return EXIT_OK
     paths = _sample_paths(cfg.out, cfg.samples)
     for path, rows in zip(paths, per_sample + [_mean_rows(per_sample)]):
-        _write_rows(path, header, rows)
+        _write_csv(path, rows, header)
     print(f"wrote {len(paths)} files ({paths[0]} .. {paths[-1]})")
     return EXIT_OK
 
@@ -398,7 +402,7 @@ def _cmd_bench(args) -> int:
                 times.append(time.perf_counter() - t0)
             rows.append([str(chain.n), str(j), mode, str(args.reps),
                          statistics.median(times)])
-    _write_rows(args.out, "n,j,mode,reps,median_seconds", rows)
+    _write_csv(args.out, rows, "n,j,mode,reps,median_seconds")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -414,7 +418,7 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p0", default="uniform",
                    help="start distribution: file:PATH | uniform | point:I | random")
     p.add_argument("--method", default="cgsir", choices=VARIANTS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,14 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     g_rand = gen_sub.add_parser("random", help="random dense/sparse chain")
     g_rand.add_argument("--n", type=int, required=True)
     g_rand.add_argument("--density", type=float, default=1.0)
-    g_rand.add_argument("--seed", type=int, default=0)
+    g_rand.add_argument("--seed", type=_seed, default=0)
     g_rand.add_argument("--sparse", action="store_true")
     g_rand.add_argument("--out", required=True, help="output prefix")
     g_ncd = gen_sub.add_parser("ncd", help="random nearly decoupled chain")
     g_ncd.add_argument("--blocks", type=int, required=True)
     g_ncd.add_argument("--block-size", type=int, required=True, dest="block_size")
     g_ncd.add_argument("--epsilon", type=float, required=True)
-    g_ncd.add_argument("--seed", type=int, default=0)
+    g_ncd.add_argument("--seed", type=_seed, default=0)
     g_ncd.add_argument("--out", required=True, help="output prefix")
     gen.set_defaults(func=_cmd_gen)
 

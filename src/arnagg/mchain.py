@@ -6,12 +6,13 @@ Transition matrices are row stochastic, generator matrices have zero row
 sums.  Each wrapper is built only by its constructor, which copies a dense
 ``numpy.ndarray`` or a CSR ``scipy.sparse`` matrix from its input and
 validates it through one routine, ``_validated_storage``, so the dense and
-the sparse form of a matrix are accepted or rejected alike.
+the sparse form of a matrix are accepted or rejected alike.  The I/O reads
+every text file with one numpy loadtxt call and writes every CSV table with
+one writer, so all files share one number grammar and one float format.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -218,7 +219,7 @@ class Distribution:
             if not np.isfinite(v).all():
                 raise InputError("strict distribution has non-finite entries")
             if v.min() < -1e-12:
-                raise InputError(f"strict distribution has entry {v.min()!r} < -1e-12")
+                raise InputError(f"strict distribution has entry {float(v.min())!r} < -1e-12")
             s = float(v.sum())
             if abs(s - 1.0) > 1e-10:
                 raise InputError(f"strict distribution sums to {s!r}")
@@ -335,47 +336,59 @@ def weighted_abs_row_sums(v, m) -> float:
 # ---------------------------------------------------------------------------
 # Matrix and distribution I/O.
 #
-# Two interchange formats: Matrix Market coordinate (sparse, 1-based
-# indices) and dense CSV with one matrix row per line.  Distributions are
-# single-column CSV.  All floats are written with 17 significant digits so
-# that load(save(M)) reproduces M bit for bit.
+# The suffix picks the format: Matrix Market coordinate (.mtx; sparse,
+# 1-based indices) or dense CSV (.csv), one matrix row a line.
+# Distributions are single-column CSV.  _write_csv writes every CSV table,
+# floats at 17 significant digits, so load(save(M)) reproduces M bit for bit.
+#
+# Every reader parses numbers through one loadtxt call (_loadtxt), so both
+# formats share numpy's grammar: no "_" digit separators, ASCII digits only.
+# Only on failure, _rejected_line reads the lines again, one at a time, to
+# name the first one numpy rejects.
 #
 # Matrix Market: "coordinate real general" only; "%" comments before the
 # size line only, blank lines anywhere.  Header and size line are checked
-# in Python before anything is allocated; one np.loadtxt call reads the
-# entries, three fields a line in numpy's integer and float grammar.  A bad
-# entry is a ParseError at the section's first line; the message names the
-# entry by its 1-based number in the section, blank lines not counted.
+# in Python before anything is allocated; the file object then goes to
+# numpy as it is.  A bad entry is a ParseError at the section's first
+# line, naming the entry by its 1-based number in the section, blank lines
+# not counted.
+#
+# CSV: blank and whitespace-only lines are dropped first, since with a
+# delimiter numpy reads one as a row.  A bad value is a ParseError at its
+# line, a row of another width a ShapeError naming its line.
 #
 # All readers decode UTF-8 whatever the locale, an undecodable byte as
 # U+FFFD, which no numeric field accepts: it ends in a ParseError.
 # ---------------------------------------------------------------------------
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate real general"
+_MM_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 # Rows and columns beyond the entry count are backed by nothing in the file;
 # capping them keeps a bad size line from sizing tocsr()'s row pointer.
 _MM_UNBACKED_MAX = 1 << 24
 
 
-def _detect_format(path, fmt):
-    if fmt is not None:
-        if fmt not in ("matrixmarket", "csv"):
-            raise InputError(f"unknown matrix format {fmt!r}")
-        return fmt
+def _is_csv(path) -> bool:
     s = str(path).lower()
-    if s.endswith(".mtx"):
-        return "matrixmarket"
-    if s.endswith(".csv"):
-        return "csv"
-    raise InputError(f"cannot infer format from {path!r}; pass format explicitly")
+    if not s.endswith((".mtx", ".csv")):
+        raise InputError(f"cannot infer format from {path!r}; name the file .mtx or .csv")
+    return s.endswith(".csv")
 
 
-def save_matrix(m, path, fmt: str | None = None) -> None:
-    """Write a matrix as Matrix Market coordinate or dense CSV."""
-    fmt = _detect_format(path, fmt)
+def _write_csv(path, rows, header=None) -> None:
+    """Write ``rows`` as CSV lines: strings as they are, numbers at ``FLOAT_FORMAT``."""
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(x if isinstance(x, str) else FLOAT_FORMAT % x for x in row) + "\n")
+
+
+def save_matrix(m, path) -> None:
+    """Write a matrix as Matrix Market coordinate (.mtx) or dense CSV (.csv)."""
     m = _unwrap(m)
-    if fmt == "matrixmarket":
+    if not _is_csv(path):
         coo = sp.coo_array(m)
         with open(path, "w") as fh:
             fh.write(_MM_HEADER + "\n")
@@ -383,10 +396,7 @@ def save_matrix(m, path, fmt: str | None = None) -> None:
             for i, j, x in zip(coo.row, coo.col, coo.data):
                 fh.write(f"{i + 1} {j + 1} {FLOAT_FORMAT % x}\n")
     else:
-        dense = m.toarray() if sp.issparse(m) else np.asarray(m)
-        with open(path, "w") as fh:
-            for row in np.atleast_2d(dense):
-                fh.write(",".join(FLOAT_FORMAT % x for x in row) + "\n")
+        _write_csv(path, np.atleast_2d(m.toarray() if sp.issparse(m) else np.asarray(m)))
 
 
 def _parse_matrixmarket(path):
@@ -420,9 +430,11 @@ def _parse_matrixmarket(path):
         if dims is None:
             raise ParseError(lineno, "missing size line")
         try:
-            entries = _mm_entries(fh)
+            entries = _loadtxt(fh, _MM_ENTRY)
         except (ValueError, DeprecationWarning):
-            raise ParseError(lineno + 1, _malformed_entry(fh, lineno)) from None
+            entry, _, text = _rejected_line(fh, lineno, _MM_ENTRY)
+            raise ParseError(lineno + 1, f"malformed entry section: entry {entry} {text.strip()!r} "
+                                         "is not 'row col value'") from None
     i, j = entries["row"], entries["col"]
     outside = (i < 1) | (i > dims[0]) | (j < 1) | (j > dims[1])
     if outside.any():
@@ -434,63 +446,57 @@ def _parse_matrixmarket(path):
     return sp.coo_array((entries["value"], (i - 1, j - 1)), shape=(dims[0], dims[1])).tocsr()
 
 
-def _mm_entries(lines):
-    """Read Matrix Market entry lines into a (row, col, value) record array."""
+def _loadtxt(lines, dtype, delimiter=None, ndmin=1):
+    """Read text lines with numpy's grammar: one record, or one row of values, a line."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         # Older numpy only warned, and truncated, when an int field read "1.0".
         warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(lines, comments=None, ndmin=1, dtype=[
-            ("row", np.int64), ("col", np.int64), ("value", np.float64)])
+        return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=ndmin, dtype=dtype)
 
 
-def _malformed_entry(fh, skip: int) -> str:
-    """Name the first entry after line ``skip`` of ``fh`` that ``_mm_entries`` rejects.
+def _rejected_line(fh, skip: int, dtype, delimiter=None):
+    """Find the first non-blank line after line ``skip`` of ``fh`` that ``_loadtxt`` rejects.
 
-    The entries are read again, one at a time, so the grammar is numpy's.
+    Returns its 1-based number among the non-blank lines after ``skip``,
+    its line number in the file and its text.  The lines are read again,
+    one at a time, so the grammar is numpy's.
     """
     fh.seek(0)
-    lines = filter(None, map(str.strip, itertools.islice(fh, skip, None)))
-    entry = (0, "")
+    lines = ((n, line) for n, line in enumerate(fh, 1) if n > skip and not line.isspace())
+    found = (0, 0, "")
     try:
-        # numpy fails on the last entry handed over; the walrus binds ``entry`` here.
-        _mm_entries((entry := e)[1] for e in enumerate(lines, 1))
+        # numpy fails on the last line handed over; the walrus binds ``found`` here.
+        _loadtxt(((found := (k, *e))[2] for k, e in enumerate(lines, 1)), dtype, delimiter)
     except (ValueError, DeprecationWarning):
         pass
-    return f"malformed entry section: entry {entry[0]} {entry[1]!r} is not 'row col value'"
+    return found
 
 
 def _parse_csv_matrix(path):
-    rows = []
-    width = None
     with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
+        try:
+            m = _loadtxt((line for line in fh if not line.isspace()), float, ",", ndmin=2)
+        except ValueError:
+            _, lineno, line = _rejected_line(fh, 0, float, ",")
             try:
-                row = [float(p) for p in parts]
+                _loadtxt([line], float, ",")
             except ValueError:
-                raise ParseError(lineno, f"malformed value in {text!r}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ShapeError(f"row {lineno} has {len(row)} columns, expected {width}")
-            rows.append(row)
-    if not rows:
+                raise ParseError(lineno, f"malformed value in {line.strip()!r}") from None
+            raise ShapeError(f"row {lineno} has {line.count(',') + 1} columns, "
+                             "unlike the rows before it") from None
+    if not m.size:
         raise ParseError(1, "empty file")
-    return np.array(rows)
+    return m
 
 
-def load_matrix(path, fmt: str | None = None, kind: str = "stochastic"):
-    """Load a matrix and validate it as the requested kind.
+def load_matrix(path, kind: str = "stochastic"):
+    """Load a .mtx or .csv matrix and validate it as the requested kind.
 
     kind is one of 'stochastic', 'generator', or 'raw' (no validation,
     returns the bare ndarray or CSR matrix).
     """
-    fmt = _detect_format(path, fmt)
-    m = _parse_matrixmarket(path) if fmt == "matrixmarket" else _parse_csv_matrix(path)
+    m = _parse_csv_matrix(path) if _is_csv(path) else _parse_matrixmarket(path)
     if kind == "raw":
         return m
     if kind == "stochastic":
@@ -502,10 +508,7 @@ def load_matrix(path, fmt: str | None = None, kind: str = "stochastic"):
 
 def save_distribution(d, path) -> None:
     """Write a distribution as single-column CSV."""
-    v = as_vector(d)
-    with open(path, "w") as fh:
-        for x in v:
-            fh.write(FLOAT_FORMAT % x + "\n")
+    _write_csv(path, as_vector(d)[:, None])
 
 
 def load_distribution(path, strict: bool = True) -> Distribution:

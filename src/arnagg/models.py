@@ -68,7 +68,7 @@ def ncd_compose(spec: NcdSpec) -> StochasticMatrix:
     if np.any(p < 0.0) or np.any(p > 1.0):
         r, c = np.unravel_index(int(np.argmin(np.minimum(p, 1.0 - p))), p.shape)
         raise InvalidCoupling(
-            f"entry ({int(r)}, {int(c)}) = {p[r, c]!r} falls outside [0, 1]"
+            f"entry ({int(r)}, {int(c)}) = {float(p[r, c])!r} falls outside [0, 1]"
         )
     return StochasticMatrix(p)
 

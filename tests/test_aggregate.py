@@ -353,20 +353,6 @@ class TestErrorTrace:
         tr = error_trace(p, p0, agg, [0, 1], policy=CONDITIONAL)
         assert np.allclose(tr.errors, [0.0, 1.0], atol=1e-14)
 
-    def test_csv_serialization_round_trips(self, tmp_path):
-        p, p0 = counterexample(0.5)
-        agg = pipeline_naive(p, p0, 1)
-        tr = error_trace(p, p0, agg, [0, 1, 2])
-        path = tmp_path / "trace.csv"
-        tr.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "k,e_k,bound_specific,bound_general"
-        row = lines[2].split(",")
-        assert int(row[0]) == 1
-        assert float(row[1]) == tr.errors[1]
-        assert float(row[2]) == tr.bound_specific[1]
-        assert float(row[3]) == tr.bound_general[1]
-
 
 def draw_start(draw, n, seed):
     """A random (seeded), uniform or point start vector of length n."""

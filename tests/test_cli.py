@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arnagg import cli
-from arnagg.aggregate import error_trace, format_trace_csv, pipeline_naive, pipeline_schur
+from arnagg.aggregate import error_trace, pipeline_naive, pipeline_schur
 from arnagg.arnoldi import ArnoldiBuilder
 from arnagg.errors import ComplexStationary
 from arnagg.mchain import (
@@ -90,6 +90,23 @@ class TestGen:
         for part in ("step_matrix", "disaggregation", "initial", "stationary"):
             assert (tmp_path / f"a.{part}.csv").read_bytes() \
                 == (tmp_path / f"b.{part}.csv").read_bytes()
+
+
+class TestSeed:
+    @pytest.mark.parametrize("command", [
+        ["gen", "random", "--n", 5],
+        ["gen", "ncd", "--blocks", 2, "--block-size", 2, "--epsilon", 0.1],
+        ["aggregate", "--gen", "random:n=5", "--size", 2],
+        ["trace", "--gen", "random:n=5", "--size", 2, "--ks", "1"],
+        ["sweep", "--gen", "random:n=5", "--sizes", "1,2"],
+        ["bench", "--n", 20, "--sizes", "2", "--reps", 1],
+    ], ids=["gen_random", "gen_ncd", "aggregate", "trace", "sweep", "bench"])
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--seed", -1, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUniformize:
@@ -209,6 +226,15 @@ class TestAggregate:
         monkeypatch.setattr(cli, "pipeline_schur", boom)
         assert run("aggregate", "--gen", "random:n=6", "--p0", "uniform",
                    "--size", 3, "--out", tmp_path / "agg") == 3
+
+    @pytest.mark.parametrize("spec, key", [
+        ("random:n=5,dens=0.1", "dens"),
+        ("ncd:blocks=2,block_size=3,eps=1e-3", "eps"),
+    ], ids=["random", "ncd"])
+    def test_unknown_gen_parameter_exits_2(self, tmp_path, capsys, spec, key):
+        assert run("aggregate", "--gen", spec, "--size", 2, "--out", tmp_path / "agg") == 2
+        assert f"has no parameter '{key}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrace:
@@ -511,8 +537,6 @@ class TestRunnerMatchesLibrary:
         assert {f.name for f in tmp_path.glob("*.csv")} == set(expected)
         for name, text in expected.items():
             assert without_wall_time(tmp_path / name) == text, name
-        if samples == 1:
-            assert (tmp_path / "tr.csv").read_text() == format_trace_csv(traces[0])
 
 
 class TestBench:

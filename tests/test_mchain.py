@@ -493,6 +493,38 @@ class TestMatrixIO:
             load_matrix(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("1_0,0\n0,1\n", 1),
+        ("0,1\n\u0661,0\n", 2),
+        ("0.5,0.5\n0.5,0.5,\n", 2),
+        ("\n  \n0.5,0.5\n\t \n\n0.5,x\n", 6),
+    ], ids=["digit_separator", "non_ascii_digit", "trailing_comma", "blank_lines_before"])
+    def test_csv_value_outside_numpy_grammar_is_parse_error_at_its_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_matrix(path, kind="raw")
+        assert err.value.line == line
+
+    def test_ragged_csv_row_after_blank_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0.5,0.5\n\n   \n0.5,0.25,0.25\n")
+        with pytest.raises(ShapeError, match="row 4 has 3 columns"):
+            load_matrix(path)
+
+    def test_csv_whitespace_only_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("\n 0.5, 0.5\n \t\n\n0.25,0.75\n  \n")
+        assert np.array_equal(load_matrix(path).toarray(), [[0.5, 0.5], [0.25, 0.75]])
+
+    @pytest.mark.parametrize("text", ["", "\n", " \n\t\n"], ids=["empty", "blank", "whitespace"])
+    def test_csv_without_rows_is_parse_error_line_1(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="empty file") as err:
+            load_matrix(path)
+        assert err.value.line == 1
+
     def test_load_as_generator_and_raw(self, tmp_path):
         q = np.array([[-1.0, 1.0], [2.0, -2.0]])
         path = tmp_path / "q.mtx"
@@ -696,6 +728,10 @@ class TestDistribution:
         with pytest.raises(InputError):
             Distribution(np.array([1.5, -0.5]))
         Distribution(np.array([1.5, -0.5]), strict=False)
+
+    def test_strict_error_names_a_plain_float(self):
+        with pytest.raises(InputError, match=r"^strict distribution has entry -0\.5 < -1e-12$"):
+            Distribution(np.array([1.5, -0.5]))
 
     def test_strict_rejects_non_finite(self):
         with pytest.raises(InputError, match="non-finite"):

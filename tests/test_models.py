@@ -38,6 +38,15 @@ class TestNcdCompose:
         with pytest.raises(InvalidCoupling):
             ncd_compose(spec)
 
+    def test_invalid_entry_is_named_as_a_plain_float(self):
+        spec = NcdSpec(
+            blocks=(np.array([[1.0]]), np.array([[0.5, 0.5], [1.0, 0.0]])),
+            coupling=np.array([[0, 0, 0], [0, -1, 1], [0, 0, 0]]),
+            epsilon=0.75,
+        )
+        with pytest.raises(InvalidCoupling, match=r"^entry \(1, 1\) = -0\.25 falls outside"):
+            ncd_compose(spec)
+
     def test_block_sizes_must_cover_coupling(self):
         with pytest.raises(ShapeError):
             NcdSpec(blocks=(np.eye(2),), coupling=np.zeros((3, 3)), epsilon=0.1)
