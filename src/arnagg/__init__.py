@@ -3,8 +3,8 @@
 The package builds an orthonormal Krylov basis of a chain and its start
 distribution, uses it as a reduced ("aggregated") linear system, tracks
 exact per-step errors with two provable bounds, extracts an approximate
-stationary distribution through a sorted Schur form of the reduced step
-matrix, and decides when the reduction is good enough via a stationary
+stationary distribution from the LAPACK ``geev`` eigenpairs of the reduced
+step matrix, and decides when the reduction is good enough via a stationary
 weighted defect criterion.
 """
 
@@ -64,8 +64,6 @@ from .mchain import (
     save_matrix,
     transient,
     uniformize,
-    validate_generator,
-    validate_stochastic,
     weighted_abs_row_sums,
 )
 from .models import NcdSpec, counterexample, ncd_compose, random_chain, random_ncd

@@ -100,49 +100,61 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return out
 
 
-def _model(name: str, seed, param):
-    """Build model ``name``: its chain and start (None but for the counterexample).
+def _bool(text: str) -> bool:
+    """A bool parameter: 1/true/yes or 0/false/no, in any case."""
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"{text!r} is not 1/true/yes or 0/false/no")
+    return text.lower() in ("1", "true", "yes")
 
-    ``param(key, kind)`` gives parameter ``key`` as a ``kind``, from ``gen``'s
-    options or ``--gen``'s spec, each syntax with its own defaults.
-    """
-    if name == "counterexample":
-        return counterexample(param("epsilon", float))
-    if name == "random":
-        return random_chain(param("n", int), density=param("density", float), seed=seed,
-                            sparse=param("sparse", bool)), None
-    if name == "ncd":
-        return random_ncd(param("blocks", int), param("block_size", int),
-                          param("epsilon", float), seed=seed), None
-    raise InputError(f"unknown generator {name!r}")
+
+# The generator models of ``gen NAME --key ...`` and ``--gen NAME:key=...``:
+# name -> (help, builder of (chain, start or None), {key: (type, default)}).
+# A None default marks a required key; ``seed`` is set by ``--seed`` only.
+MODELS = {
+    "counterexample": ("3-state tight-bound chain with its p0",
+                       counterexample,
+                       {"epsilon": (float, 0.5)}),
+    "random": ("random dense/sparse chain",
+               lambda n, density, sparse, seed: (
+                   random_chain(n, density=density, seed=seed, sparse=sparse), None),
+               {"n": (int, None), "density": (float, 1.0), "sparse": (_bool, False),
+                "seed": (_seed, 0)}),
+    "ncd": ("random nearly decoupled chain",
+            lambda blocks, block_size, epsilon, seed: (
+                random_ncd(blocks, block_size, epsilon, seed=seed), None),
+            {"blocks": (int, None), "block_size": (int, None), "epsilon": (float, 1e-4),
+             "seed": (_seed, 0)}),
+}
 
 
 def _parse_gen_spec(spec: str, seed) -> StochasticMatrix:
-    """Build a chain from 'name:key=value,...' generator syntax."""
+    """Build a chain from 'name:key=value,...' generator syntax.
+
+    Every key and value is checked against ``MODELS`` before the builder runs.
+    """
     name, _, rest = spec.partition(":")
-    kv = {"epsilon": "0.5" if name == "counterexample" else "1e-4", "density": "1.0", "sparse": "0"}
-    unread = set()
-    if rest:
-        for item in rest.split(","):
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise InputError(f"bad generator parameter {item!r}")
-            kv[key.strip()] = value.strip()
-            unread.add(key.strip())
-
-    def param(key, kind):
-        unread.discard(key)
-        return kv[key] in ("1", "true", "yes") if kind is bool else kind(kv[key])
-
+    if name not in MODELS:
+        raise InputError(f"unknown generator {name!r}")
+    _, build, params = MODELS[name]
+    given = {}
+    for item in rest.split(",") if rest else ():
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise InputError(f"bad generator parameter {item!r}")
+        if key not in params or key == "seed":
+            raise InputError(f"generator {name!r} has no parameter {key!r}")
+        given[key] = value
     try:
-        chain = _model(name, seed, param)[0]
-    except KeyError as exc:
-        raise InputError(f"generator {name!r} is missing parameter {exc}") from None
+        kwargs = {key: kind(given[key]) if key in given else default
+                  for key, (kind, default) in params.items()}
     except ValueError as exc:
         raise InputError(f"bad generator parameter in {spec!r}: {exc}") from None
-    if unread:
-        raise InputError(f"generator {name!r} has no parameter {min(unread)!r}")
-    return chain
+    missing = [key for key, value in kwargs.items() if value is None]
+    if missing:
+        raise InputError(f"generator {name!r} is missing parameter {missing[0]!r}")
+    if "seed" in kwargs:
+        kwargs["seed"] = seed
+    return build(**kwargs)[0]
 
 
 def _load_chain(args) -> StochasticMatrix:
@@ -244,7 +256,8 @@ def _sample_paths(out: str, samples: int) -> list[str]:
 
 def _cmd_gen(args) -> int:
     out = args.out
-    p, p0 = _model(args.model, getattr(args, "seed", None), lambda key, kind: getattr(args, key))
+    _, build, params = MODELS[args.model]
+    p, p0 = build(**{key: getattr(args, key) for key in params})
     save_matrix(p, f"{out}.mtx")
     if p0 is None:
         print(f"wrote {out}.mtx (n={p.n})")
@@ -430,21 +443,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate model chains")
     gen_sub = gen.add_subparsers(dest="model", required=True)
-    g_cx = gen_sub.add_parser("counterexample", help="3-state tight-bound chain with its p0")
-    g_cx.add_argument("--epsilon", type=float, required=True)
-    g_cx.add_argument("--out", required=True, help="output prefix")
-    g_rand = gen_sub.add_parser("random", help="random dense/sparse chain")
-    g_rand.add_argument("--n", type=int, required=True)
-    g_rand.add_argument("--density", type=float, default=1.0)
-    g_rand.add_argument("--seed", type=_seed, default=0)
-    g_rand.add_argument("--sparse", action="store_true")
-    g_rand.add_argument("--out", required=True, help="output prefix")
-    g_ncd = gen_sub.add_parser("ncd", help="random nearly decoupled chain")
-    g_ncd.add_argument("--blocks", type=int, required=True)
-    g_ncd.add_argument("--block-size", type=int, required=True, dest="block_size")
-    g_ncd.add_argument("--epsilon", type=float, required=True)
-    g_ncd.add_argument("--seed", type=_seed, default=0)
-    g_ncd.add_argument("--out", required=True, help="output prefix")
+    for name, (help_text, _, params) in MODELS.items():
+        model = gen_sub.add_parser(name, help=help_text)
+        for key, (kind, default) in params.items():
+            flag = "--" + key.replace("_", "-")
+            if kind is _bool:
+                model.add_argument(flag, action="store_true", dest=key)
+            else:
+                model.add_argument(flag, type=kind, default=default, required=default is None,
+                                   dest=key)
+        model.add_argument("--out", required=True, help="output prefix")
     gen.set_defaults(func=_cmd_gen)
 
     uni = sub.add_parser("uniformize", help="turn a generator matrix into a chain")

@@ -244,16 +244,6 @@ class Distribution:
         return cls(v / v.sum())
 
 
-def validate_stochastic(m, tol: float = STOCHASTIC_TOL) -> StochasticMatrix:
-    """Wrap ``m`` as a validated row-stochastic matrix."""
-    return StochasticMatrix(m, tol=tol)
-
-
-def validate_generator(m, tol: float = GENERATOR_TOL) -> GeneratorMatrix:
-    """Wrap ``m`` as a validated generator (rate) matrix."""
-    return GeneratorMatrix(m, tol=tol)
-
-
 def uniformize(q: GeneratorMatrix, gamma: float | None = None) -> StochasticMatrix:
     """Turn a generator into a transition matrix via ``I + Q / gamma``.
 

@@ -44,7 +44,6 @@ from arnagg.mchain import (
     Distribution,
     StochasticMatrix,
     inf_norm,
-    validate_stochastic,
     weighted_abs_row_sums,
 )
 from arnagg.models import counterexample, random_chain, random_ncd
@@ -86,7 +85,7 @@ def trace_oracle(p_dense, p0, agg, ks):
 
 class TestAggregatedStep:
     def test_identity_step_matrix(self):
-        p = validate_stochastic(np.eye(3))
+        p = StochasticMatrix(np.eye(3))
         p0 = Distribution.random(3, seed=1)
         agg = pipeline_naive(p, p0, 1)
         pi = np.array([0.7])
@@ -246,8 +245,8 @@ class TestRescalingRules:
 
 # Size-1 step matrix [[1.187]]: the aggregated vector overflows at step 4144.
 OVERFLOWING_CHAINS = [
-    (validate_stochastic(np.array([[0.0, 1.0], [0.0, 1.0]])), Distribution(np.array([0.36, 0.64]))),
-    (validate_stochastic(np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+    (StochasticMatrix(np.array([[0.0, 1.0], [0.0, 1.0]])), Distribution(np.array([0.36, 0.64]))),
+    (StochasticMatrix(np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
      Distribution(np.array([0.36, 0.64, 0.0]))),
 ]
 
@@ -264,7 +263,7 @@ class TestErrorTrace:
         assert tr.static_error == pytest.approx(1.0)
 
     def test_identity_chain_has_zero_error(self):
-        p = validate_stochastic(np.eye(6))
+        p = StochasticMatrix(np.eye(6))
         p0 = Distribution.random(6, seed=41)
         agg = pipeline_naive(p, p0, 3)
         tr = error_trace(p, p0, agg, [0, 1, 5, 20])
@@ -460,7 +459,7 @@ class TestBoundChainProperty:
 
     # P = [[0, 1], [0, 1]] from (0.36, 0.64): the size-1 step matrix is
     # [[1.187]], so both bounds are the same geometric sum, 5.2e11 at k=150.
-    COINCIDING_BOUNDS = (validate_stochastic(np.array([[0.0, 1.0], [0.0, 1.0]])),
+    COINCIDING_BOUNDS = (StochasticMatrix(np.array([[0.0, 1.0], [0.0, 1.0]])),
                          Distribution(np.array([0.36, 0.64])), 1, CGSIR, [150])
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None,
@@ -518,7 +517,7 @@ def closed_form_models():
         counterexample(0.5),
         (random_chain(20, 0.6, seed=5), Distribution.random(20, seed=6)),
         (random_chain(40, 0.1, seed=7, sparse=True), Distribution.random(40, seed=8)),
-        (validate_stochastic(cycle), Distribution.point(6, 0)),
+        (StochasticMatrix(cycle), Distribution.point(6, 0)),
     ]
 
 
@@ -563,7 +562,7 @@ class TestPipelines:
         assert agg.stationary is None
 
     def test_schur_identity_chain(self):
-        p = validate_stochastic(np.eye(5))
+        p = StochasticMatrix(np.eye(5))
         p0 = Distribution.random(5, seed=111)
         agg = pipeline_schur(p, p0, 3)
         q1 = p0.values / np.linalg.norm(p0.values)
@@ -596,7 +595,7 @@ def estimate_pool():
     cycle[0, 1] = cycle[1, 2] = cycle[2, 0] = 1.0
     cycle[3:, 3:] = 1.0 / 3.0
     near_singular = random_ncd(6, 10, 1e-12, seed=[7, 2])
-    pool = [(validate_stochastic(cycle), Distribution.point(6, 0), 1e-8),
+    pool = [(StochasticMatrix(cycle), Distribution.point(6, 0), 1e-8),
             (near_singular, Distribution.random(60, seed=[8, 2]), 1e-8)]
     for coupling in (1e-3, 1e-4):
         for c in range(2):
@@ -701,7 +700,7 @@ class TestCriterionEstimate:
 
 class TestPipelineDynamic:
     def test_identity_chain_stops_at_size_one(self):
-        p = validate_stochastic(np.eye(4))
+        p = StochasticMatrix(np.eye(4))
         p0 = Distribution.random(4, seed=131)
         agg = pipeline_dynamic(p, p0, 3, 1e-8, step_size=1)
         assert agg.size == 1

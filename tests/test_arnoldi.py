@@ -10,7 +10,7 @@ from arnagg.arnoldi import (
     relation_residual,
 )
 from arnagg.errors import DimensionMismatch, InputError, ZeroInitialVector
-from arnagg.mchain import Distribution, inf_norm, validate_stochastic
+from arnagg.mchain import Distribution, StochasticMatrix, inf_norm
 from arnagg.models import counterexample, random_chain
 from arnagg.orthonorm import CGS2, CGSIR, MGS2, MGSIR
 
@@ -21,7 +21,7 @@ STABLE_METHODS = (CGS2, MGS2, CGSIR, MGSIR)
 
 class TestArnoldiIterate:
     def test_identity_chain_deflates_immediately(self):
-        p = validate_stochastic(np.eye(6))
+        p = StochasticMatrix(np.eye(6))
         p0 = Distribution.random(6, seed=1)
         f = arnoldi_iterate(p, p0, 5)
         assert f.deflated
@@ -54,19 +54,19 @@ class TestArnoldiIterate:
         assert np.allclose(f.basis[0], p0.values / np.linalg.norm(p0.values), atol=1e-15)
 
     def test_zero_initial_vector(self):
-        p = validate_stochastic(np.eye(3))
+        p = StochasticMatrix(np.eye(3))
         with pytest.raises(ZeroInitialVector):
             arnoldi_iterate(p, np.zeros(3), 2)
 
     def test_size_bounds(self):
-        p = validate_stochastic(np.eye(3))
+        p = StochasticMatrix(np.eye(3))
         with pytest.raises(InputError):
             arnoldi_iterate(p, Distribution.uniform(3), 4)
         with pytest.raises(InputError):
             arnoldi_iterate(p, Distribution.uniform(3), 0)
 
     def test_dimension_mismatch(self):
-        p = validate_stochastic(np.eye(3))
+        p = StochasticMatrix(np.eye(3))
         with pytest.raises(DimensionMismatch):
             arnoldi_iterate(p, Distribution.uniform(4), 2)
 
@@ -93,7 +93,7 @@ class TestArnoldiIterate:
 
     def test_sparse_chain_matches_dense(self):
         pd = random_chain(30, 0.2, seed=31)
-        ps = validate_stochastic(sp.csr_array(pd.raw))
+        ps = StochasticMatrix(sp.csr_array(pd.raw))
         p0 = Distribution.random(30, seed=32)
         fd = arnoldi_iterate(pd, p0, 10)
         fs = arnoldi_iterate(ps, p0, 10)
@@ -152,7 +152,7 @@ class TestBuilder:
             assert a.tobytes() == ref.tobytes()
 
     def test_expand_after_done_raises(self):
-        p = validate_stochastic(np.eye(3))
+        p = StochasticMatrix(np.eye(3))
         b = ArnoldiBuilder(p, Distribution.uniform(3), 2)
         b.expand()
         assert b.done  # identity deflates at once
@@ -160,7 +160,7 @@ class TestBuilder:
             b.expand()
 
     def test_snapshot_before_any_step_raises(self):
-        p = validate_stochastic(np.eye(3))
+        p = StochasticMatrix(np.eye(3))
         b = ArnoldiBuilder(p, Distribution.uniform(3), 2)
         with pytest.raises(InputError):
             b.snapshot()
@@ -168,7 +168,7 @@ class TestBuilder:
 
 class TestRelationResidual:
     def test_exact_two_state_permutation(self):
-        p = validate_stochastic(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        p = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         f = arnoldi_iterate(p, Distribution.point(2, 0), 2)
         assert relation_residual(f, p) <= 1e-14
 
@@ -191,7 +191,7 @@ class TestRelationResidual:
 
 class TestBuildAggregation:
     def test_identity_chain(self):
-        p = validate_stochastic(np.eye(4))
+        p = StochasticMatrix(np.eye(4))
         p0 = Distribution.random(4, seed=71)
         agg = build_aggregation(arnoldi_iterate(p, p0, 3), p0)
         assert np.allclose(agg.step_matrix, [[1.0]], atol=1e-15)

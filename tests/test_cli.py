@@ -236,6 +236,45 @@ class TestAggregate:
         assert f"has no parameter '{key}'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("spec, named", [
+        ("random:n=4000,dens=0.001", "'dens'"),
+        ("random:density=0.5", "'n'"),
+        ("ncd:blocks=2", "'block_size'"),
+        ("random:n=abc", "'abc'"),
+    ], ids=["unknown_key", "missing_n", "missing_block_size", "bad_value"])
+    def test_bad_gen_spec_exits_2_before_any_chain_is_built(self, tmp_path, capsys,
+                                                            monkeypatch, spec, named):
+        def never(*args, **kwargs):
+            pytest.fail("the model builder ran on a bad spec")
+
+        monkeypatch.setattr(cli, "random_chain", never)
+        monkeypatch.setattr(cli, "random_ncd", never)
+        assert run("aggregate", "--gen", spec, "--size", 2, "--out", tmp_path / "agg") == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text, want", [
+        ("1", True), ("true", True), ("YES", True), ("0", False), ("false", False), ("No", False),
+    ])
+    def test_gen_spec_bool_grammar(self, text, want):
+        assert cli._parse_gen_spec(f"random:n=5,sparse={text}", 0).is_sparse is want
+
+    @pytest.mark.parametrize("text", ["on", "2"])
+    def test_gen_spec_bool_outside_grammar_exits_2(self, tmp_path, capsys, text):
+        assert run("aggregate", "--gen", f"random:n=5,sparse={text}", "--size", 2,
+                   "--out", tmp_path / "agg") == 2
+        assert f"'{text}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("model, spec", [
+        (["ncd", "--blocks", 2, "--block-size", 3, "--seed", 1], "ncd:blocks=2,block_size=3"),
+        (["counterexample"], "counterexample"),
+    ], ids=["ncd", "counterexample"])
+    def test_gen_and_gen_spec_share_their_defaults(self, tmp_path, model, spec):
+        assert run("gen", *model, "--out", tmp_path / "g") == 0
+        save_matrix(cli._parse_gen_spec(spec, 1), tmp_path / "b.mtx")
+        assert (tmp_path / "g.mtx").read_bytes() == (tmp_path / "b.mtx").read_bytes()
+
 
 class TestTrace:
     def test_counterexample_rows(self, tmp_path):

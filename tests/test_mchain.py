@@ -32,8 +32,6 @@ from arnagg.mchain import (
     save_matrix,
     transient,
     uniformize,
-    validate_generator,
-    validate_stochastic,
     weighted_abs_row_sums,
 )
 from arnagg.models import counterexample, random_chain, random_ncd
@@ -43,63 +41,63 @@ from oracles import dense_validation_verdict, stream_parse_matrixmarket, transie
 
 class TestValidateStochastic:
     def test_identity_is_stochastic(self):
-        m = validate_stochastic(np.eye(3), tol=1e-12)
+        m = StochasticMatrix(np.eye(3), tol=1e-12)
         assert m.n == 3
         assert np.array_equal(m.toarray(), np.eye(3))
 
     def test_coupled_three_state_chain_is_stochastic(self):
         eps = 0.1
         p = np.array([[1 - eps, eps, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
-        m = validate_stochastic(p)
+        m = StochasticMatrix(p)
         assert np.array_equal(m.toarray(), p)
 
     def test_row_sum_violation_reports_row_and_sum(self):
         with pytest.raises(RowSumViolation) as err:
-            validate_stochastic(np.array([[0.5, 0.6], [0.5, 0.5]]))
+            StochasticMatrix(np.array([[0.5, 0.6], [0.5, 0.5]]))
         assert err.value.row == 0
         assert err.value.row_sum == pytest.approx(1.1)
 
     def test_negative_entry_beyond_tolerance(self):
         p = np.array([[1.1, -0.1], [0.0, 1.0]])
         with pytest.raises(NegativeEntry) as err:
-            validate_stochastic(p)
+            StochasticMatrix(p)
         assert (err.value.row, err.value.col) == (0, 1)
 
     def test_tiny_negative_entries_are_clamped(self):
         p = np.array([[1.0 + 5e-13, -5e-13], [0.0, 1.0]])
-        m = validate_stochastic(p)
+        m = StochasticMatrix(p)
         assert m.toarray()[0, 1] == 0.0
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
-            validate_stochastic(np.ones((2, 3)) / 3)
+            StochasticMatrix(np.ones((2, 3)) / 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_rejected(self, bad):
         m = np.array([[0.5, 0.5], [bad, 1.0]])
         for storage in (m, sp.csr_array(m)):
             with pytest.raises(InputError, match=r"entry \(1, 0\)"):
-                validate_stochastic(storage)
+                StochasticMatrix(storage)
 
     def test_sparse_input_validated_and_kept_sparse(self):
         p = sp.csr_array(np.array([[0.5, 0.5], [1.0, 0.0]]))
-        m = validate_stochastic(p)
+        m = StochasticMatrix(p)
         assert m.is_sparse
         with pytest.raises(RowSumViolation):
-            validate_stochastic(sp.csr_array(np.array([[0.5, 0.4], [1.0, 0.0]])))
+            StochasticMatrix(sp.csr_array(np.array([[0.5, 0.4], [1.0, 0.0]])))
 
     def test_first_negative_entry_in_row_major_order_is_reported(self):
         p = np.array([[1.2, -0.05, -0.15], [0.0, 1.0, 0.0], [-0.5, 0.5, 1.0]])
         for storage in (p, sp.csr_array(p)):
             with pytest.raises(NegativeEntry) as err:
-                validate_stochastic(storage)
+                StochasticMatrix(storage)
             assert (err.value.row, err.value.col, err.value.value) == (0, 1, -0.05)
 
     def test_sparse_duplicate_entries_are_summed_before_any_check(self):
         # Row 0 stores (0, 1) twice, as -1 and 2: the matrix is [[0, 1], [1, 0]].
         p = sp.csr_array((np.array([-1.0, 2.0, 1.0]), np.array([1, 1, 0]),
                           np.array([0, 2, 3])), shape=(2, 2))
-        m = validate_stochastic(p)
+        m = StochasticMatrix(p)
         assert m.toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
         assert m.raw.nnz == 2
 
@@ -107,48 +105,48 @@ class TestValidateStochastic:
         (sp.csr_matrix, sp.csr_matrix), (sp.coo_matrix, sp.csr_matrix), (sp.csc_array, sp.csr_array),
     ], ids=["csr_matrix", "coo_matrix", "csc_array"])
     def test_raw_keeps_the_callers_scipy_api(self, fmt, want):
-        assert type(validate_stochastic(fmt(np.eye(2))).raw) is want
-        assert type(validate_generator(fmt(np.array([[-1.0, 1.0], [1.0, -1.0]]))).raw) is want
+        assert type(StochasticMatrix(fmt(np.eye(2))).raw) is want
+        assert type(GeneratorMatrix(fmt(np.array([[-1.0, 1.0], [1.0, -1.0]]))).raw) is want
 
     def test_sparse_input_is_stored_as_float_like_dense_input(self):
         p = np.array([[0.5 + 1j, 0.5 - 1j], [0.0, 1.0]])
         for storage in (np.eye(2, dtype=int), sp.csr_array(np.eye(2, dtype=int))):
-            assert validate_stochastic(storage).raw.dtype == np.float64
+            assert StochasticMatrix(storage).raw.dtype == np.float64
         with pytest.warns(RuntimeWarning, match="imaginary"):
-            dense = validate_stochastic(p).toarray()
+            dense = StochasticMatrix(p).toarray()
         with pytest.warns(RuntimeWarning, match="imaginary"):
-            sparse = validate_stochastic(sp.csr_array(p)).toarray()
+            sparse = StochasticMatrix(sp.csr_array(p)).toarray()
         assert sparse.dtype == np.float64 and np.array_equal(sparse, dense)
 
 
 class TestUniformize:
     def test_explicit_gamma(self):
-        q = validate_generator(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        q = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         p = uniformize(q, gamma=2.0)
         assert np.allclose(p.toarray(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_zero_generator_gives_identity(self):
-        p = uniformize(validate_generator(np.zeros((4, 4))))
+        p = uniformize(GeneratorMatrix(np.zeros((4, 4))))
         assert np.array_equal(p.toarray(), np.eye(4))
 
     def test_default_gamma_is_max_diagonal_magnitude(self):
-        q = validate_generator(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        q = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         p = uniformize(q)
         assert np.allclose(p.toarray(), [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
     def test_gamma_too_small(self):
-        q = validate_generator(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        q = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         with pytest.raises(GammaTooSmall):
             uniformize(q, gamma=0.5)
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_non_finite_gamma_rejected(self, gamma):
-        q = validate_generator(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        q = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         with pytest.raises(InputError, match="finite"):
             uniformize(q, gamma=gamma)
 
     def test_sparse_generator(self):
-        q = validate_generator(sp.csr_array(np.array([[-2.0, 2.0], [0.0, 0.0]])))
+        q = GeneratorMatrix(sp.csr_array(np.array([[-2.0, 2.0], [0.0, 0.0]])))
         p = uniformize(q)
         assert p.is_sparse
         assert np.allclose(p.toarray(), [[0.0, 1.0], [0.0, 1.0]])
@@ -158,25 +156,25 @@ class TestUniformize:
             n = int(rng.integers(2, 20))
             off = rng.random((n, n)) * (1 - np.eye(n))
             q = off - np.diag(off.sum(axis=1))
-            p = uniformize(validate_generator(q), gamma=float(rng.uniform(1, 3)) * n)
+            p = uniformize(GeneratorMatrix(q), gamma=float(rng.uniform(1, 3)) * n)
             assert np.max(np.abs(p.toarray().sum(axis=1) - 1.0)) <= 1e-12
 
 
 class TestValidateGenerator:
     def test_negative_off_diagonal_rejected(self):
         with pytest.raises(NegativeEntry):
-            validate_generator(np.array([[1.0, -1.0], [0.0, 0.0]]))
+            GeneratorMatrix(np.array([[1.0, -1.0], [0.0, 0.0]]))
 
     def test_nonzero_row_sum_rejected(self):
         with pytest.raises(GeneratorRowSumViolation) as err:
-            validate_generator(np.array([[-1.0, 2.0], [0.0, 0.0]]))
+            GeneratorMatrix(np.array([[-1.0, 2.0], [0.0, 0.0]]))
         assert err.value.row == 0
 
     def test_non_finite_entry_rejected(self):
         q = np.array([[-1.0, 1.0], [np.nan, 0.0]])
         for storage in (q, sp.csr_array(q)):
             with pytest.raises(InputError, match="not finite"):
-                validate_generator(storage)
+                GeneratorMatrix(storage)
 
     def test_sparse_validation_does_not_densify(self, monkeypatch):
         n = 2000
@@ -189,7 +187,7 @@ class TestValidateGenerator:
 
         monkeypatch.setattr(type(q), "toarray", densify)
         monkeypatch.setattr(type(q), "todense", densify)
-        gen = validate_generator(q)
+        gen = GeneratorMatrix(q)
         assert gen.is_sparse and gen.max_diag_magnitude == 3.0
         assert uniformize(gen).is_sparse
 
@@ -202,27 +200,27 @@ class TestValidateGenerator:
     def test_sparse_and_dense_raise_the_same_error(self, q, error, fields, expected):
         for storage in (np.array(q), sp.csr_array(np.array(q))):
             with pytest.raises(error) as err:
-                validate_generator(storage)
+                GeneratorMatrix(storage)
             assert tuple(getattr(err.value, f) for f in fields) == expected
 
     @pytest.mark.parametrize("fmt", [sp.coo_array, sp.csc_array, sp.csr_array],
                              ids=["coo", "csc", "csr"])
     def test_sparse_generator_stored_as_csr(self, fmt):
         q = np.array([[-2.0, 1.5, 0.5], [0.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
-        gen = validate_generator(fmt(q))
+        gen = GeneratorMatrix(fmt(q))
         assert isinstance(gen.raw, sp.csr_array)
-        want = uniformize(validate_generator(sp.csr_array(q)))
+        want = uniformize(GeneratorMatrix(sp.csr_array(q)))
         assert np.array_equal(uniformize(gen).toarray(), want.toarray())
 
     def test_sparse_duplicate_entries_are_summed(self):
         # Row 0 stores (0, 1) twice, as -1 and 2: the matrix entry is 1.
         q = sp.csr_array((np.array([-1.0, -1.0, 2.0, 0.0]), np.array([0, 1, 1, 1]),
                           np.array([0, 3, 4])), shape=(2, 2))
-        assert validate_generator(q).toarray().tolist() == [[-1.0, 1.0], [0.0, 0.0]]
+        assert GeneratorMatrix(q).toarray().tolist() == [[-1.0, 1.0], [0.0, 0.0]]
 
     def test_sparse_input_is_copied(self):
         q = sp.csr_array(np.array([[-1.0, 1.0], [1.0, -1.0]]))
-        gen = validate_generator(q)
+        gen = GeneratorMatrix(q)
         q.data[:] = 7.0
         assert gen.toarray().tolist() == [[-1.0, 1.0], [1.0, -1.0]]
 
@@ -276,7 +274,7 @@ class TestValidationAcrossStorages:
     def test_every_storage_gets_the_dense_reference_verdict(self, case):
         m, generator, tol = case
         error, expected = dense_validation_verdict(m, tol, generator)
-        validate = validate_generator if generator else validate_stochastic
+        validate = GeneratorMatrix if generator else StochasticMatrix
         storages = (m, sp.csr_array(m), sp.csc_array(m), sp.coo_array(m), duplicate_split_coo(m))
         for storage in storages:
             if error is None:
@@ -297,7 +295,7 @@ class TestValidationAcrossStorages:
 
 class TestTransient:
     def test_identity_chain_is_a_fixpoint(self):
-        p = validate_stochastic(np.eye(5))
+        p = StochasticMatrix(np.eye(5))
         d = Distribution.random(5, seed=3)
         out = transient(p, d, 17)
         assert np.array_equal(out.values, d.values)
@@ -315,12 +313,12 @@ class TestTransient:
         assert np.abs(got.values - expected).max() <= 1e-13
 
     def test_dimension_mismatch(self):
-        p = validate_stochastic(np.eye(3))
+        p = StochasticMatrix(np.eye(3))
         with pytest.raises(DimensionMismatch):
             transient(p, Distribution.uniform(4), 1)
 
     def test_negative_step_count_rejected(self):
-        p = validate_stochastic(np.eye(3))
+        p = StochasticMatrix(np.eye(3))
         with pytest.raises(InputError):
             transient(p, Distribution.uniform(3), -1)
 
@@ -410,7 +408,7 @@ class TestStorageEquivalence:
     def test_rmatmul_sugar(self):
         # No ``v @ p`` sugar: an ndarray operand raises, never an object array.
         v = np.array([0.2, 0.3, 0.5])
-        for p in (validate_stochastic(np.eye(3)), validate_stochastic(sp.eye_array(3).tocsr())):
+        for p in (StochasticMatrix(np.eye(3)), StochasticMatrix(sp.eye_array(3).tocsr())):
             with pytest.raises(TypeError):
                 v @ p
             with pytest.raises(TypeError):

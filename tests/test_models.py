@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arnagg.errors import EpsilonOutOfRange, InputError, InvalidCoupling, ShapeError
-from arnagg.mchain import validate_stochastic
+from arnagg.mchain import StochasticMatrix
 from arnagg.models import NcdSpec, counterexample, ncd_compose, random_chain, random_ncd
 
 
@@ -107,7 +107,7 @@ class TestRandomChain:
             n = int(rng.integers(1, 60))
             density = float(rng.uniform(0.05, 1.0))
             p = random_chain(n, density, seed=int(rng.integers(2**63)))
-            validate_stochastic(p.toarray(), tol=1e-12)
+            StochasticMatrix(p.toarray(), tol=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(InputError):
@@ -143,8 +143,8 @@ class TestRandomNcd:
     def test_outputs_validate_strictly(self):
         for seed in range(5):
             p = random_ncd(4, 6, 1e-3, seed=seed)
-            validate_stochastic(p.toarray(), tol=1e-12)
+            StochasticMatrix(p.toarray(), tol=1e-12)
 
     def test_single_block_has_no_coupling(self):
         p = random_ncd(1, 6, 1e-3, seed=10).toarray()
-        assert validate_stochastic(p).n == 6
+        assert StochasticMatrix(p).n == 6
