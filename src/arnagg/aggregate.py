@@ -298,7 +298,8 @@ def pipeline_schur(p_mat: StochasticMatrix, p0, size: int,
     return aggregated_stationary(pipeline_naive(p_mat, p0, size, method=method))
 
 
-def _relation_criterion(fact: ArnoldiFactorization, stationary: np.ndarray) -> float:
+def _relation_criterion(fact: ArnoldiFactorization, stationary: np.ndarray,
+                        direction_l1: float | None = None) -> float:
     """The convergence criterion of ``fact``'s aggregation, in O(n).
 
     The Arnoldi relation ``H Q + E = Q P`` makes the exactness defect
@@ -308,35 +309,37 @@ def _relation_criterion(fact: ArnoldiFactorization, stationary: np.ndarray) -> f
     therefore ``|pi_j| * residual_norm * ||residual_direction||_1``
     (Saad's Arnoldi residual estimate), and 0 once the basis deflated.
     It differs from ``convergence_criterion`` by at most
-    ``||pi||_1 * relation_residual(fact, P)``.
+    ``||pi||_1 * relation_residual(fact, P)``.  A caller that already
+    summed ``|residual_direction|`` passes the sum as ``direction_l1``.
     """
     if fact.residual_direction is None:
         return 0.0
-    return float(abs(stationary[-1]) * fact.residual_norm
-                 * np.abs(fact.residual_direction).sum())
+    if direction_l1 is None:
+        direction_l1 = np.abs(fact.residual_direction).sum()
+    return float(abs(stationary[-1]) * fact.residual_norm * direction_l1)
 
 
-def _estimated_criterion(fact: ArnoldiFactorization, x: np.ndarray,
+def _estimated_criterion(hessenberg: np.ndarray, residual: float, x: np.ndarray,
                          row_sums: np.ndarray) -> float | None:
-    """``_relation_criterion`` after two inverse-iteration steps on ``H^T - I`` from ``x``.
+    """The relation criterion after two inverse-iteration steps on ``H^T - I`` from ``x``.
 
-    Shift 1 is the known eigenvalue (Golub & Van Loan, section 7.6).  The
-    iterate ``z`` is scaled by ``|z @ row_sums|``, where ``row_sums`` holds
-    the row sums of ``fact.basis``: that is the sum of the image ``z Q``,
-    its 1-norm when the image is nonnegative, which it is up to rounding
-    near the stop size.  So the estimate costs O(j^2) and reads no basis
-    row.  A finite iterate overwrites ``x`` as the next warm start.  None
-    when a solve fails or ``|x_j|`` moved by more than half over the second
-    step.
+    ``residual`` is ``residual_norm * ||residual_direction||_1``.  Shift 1
+    is the known eigenvalue (Golub & Van Loan, section 7.6).  The iterate
+    ``z`` is scaled by ``|z @ row_sums|``, where ``row_sums`` holds the row
+    sums of the basis: that is the sum of the image ``z Q``, its 1-norm
+    when the image is nonnegative, which it is up to rounding near the stop
+    size.  So the estimate costs O(j^2) and reads no basis row.  A finite
+    iterate overwrites ``x`` as the next warm start.  None when a solve
+    fails or ``|x_j|`` moved by more than half over the second step.
     """
-    shifted = fact.hessenberg.T - np.eye(fact.size)
+    shifted = hessenberg.T - np.eye(hessenberg.shape[0])
     try:
         with np.errstate(all="ignore"):
             y = np.linalg.solve(shifted, x)
             y /= np.sqrt(y @ y)
             z = np.linalg.solve(shifted, y)
             z /= np.sqrt(z @ z)
-            estimate = _relation_criterion(fact, z / abs(z @ row_sums))
+            estimate = float(abs(z[-1] / (z @ row_sums)) * residual)
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(z).all():
@@ -344,6 +347,10 @@ def _estimated_criterion(fact: ArnoldiFactorization, x: np.ndarray,
     x[:] = z
     settled = abs(abs(z[-1]) - abs(y[-1])) <= 0.5 * abs(y[-1])
     return estimate if settled and np.isfinite(estimate) else None
+
+
+# A size whose criterion estimate exceeds this many epsilons gets no geev.
+_GEEV_MARGIN = 2.0
 
 
 def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
@@ -354,14 +361,22 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     deflation, and at ``max_size``, on the stationary vector of the current
     step matrix (LAPACK ``geev``) and read off the Arnoldi relation in O(n)
     (see ``_relation_criterion``); the first size passing
-    ``criterion <= epsilon`` wins, else the final size is returned.  ``geev``
-    runs only where a size can stop: where the warm-started inverse-iteration
-    estimate (``_estimated_criterion``) is missing or within ``100 * epsilon``,
-    and at the last size.  The estimate is scaled by the basis row sums,
-    and each basis row is summed once per run, so a checked size costs no
-    j x n product unless ``geev`` runs.  The result carries its stationary
-    vector and criterion, and its arrays are read-only views of the
-    builder's storage.
+    ``criterion <= epsilon`` wins, else the final size is returned.
+
+    ``geev`` runs only where a size can stop: where the warm-started
+    inverse-iteration estimate (``_estimated_criterion``) is missing or
+    within ``2 * epsilon``, and at the last size.  The margin is safe
+    because near the stop size the estimate is the criterion to rounding:
+    the Ritz value is then within the criterion of 1, so two steps at
+    shift 1 converge to the stationary vector, and its image is
+    nonnegative, so the row-sum scaling is its 1-norm.  On a 6 x 10-state
+    NCD chain ``geev`` then runs 1 to 4 times per run, not at about 39
+    checked sizes.  The estimate reads the builder's step matrix, the
+    residual norm and one sum of ``|residual_direction|`` per checked size,
+    which the criterion reuses, and each basis row is summed once per run;
+    a skipped size takes no snapshot and no j x n product.  The result
+    carries its stationary vector and criterion, and its arrays are
+    read-only views of the builder's storage.
 
     A truncated step matrix can transiently have a complex leading
     eigenpair mid-growth; such sizes simply cannot stop the iteration.
@@ -379,26 +394,33 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     summed = 0
     while True:
         builder.expand()
-        if builder.size % step_size == 0 or builder.done:
-            fact = builder.snapshot()
-            row_sums[summed:fact.size] = fact.basis[summed:].sum(axis=1)
-            summed = fact.size
-            estimate = _estimated_criterion(fact, warm[:fact.size], row_sums[:fact.size])
-            # A size whose estimate is far above epsilon cannot stop the loop.
-            if estimate is not None and estimate > 100.0 * epsilon and not builder.done:
+        j = builder.size
+        if j % step_size and not builder.done:
+            continue
+        direction = builder.residual_direction
+        direction_l1 = None if direction is None else np.abs(direction).sum()
+        if not builder.done:
+            row_sums[summed:j] = builder.basis[summed:].sum(axis=1)
+            summed = j
+            estimate = _estimated_criterion(builder.hessenberg,
+                                            builder.residual_norm * direction_l1,
+                                            warm[:j], row_sums[:j])
+            # A size whose estimate is above the margin cannot stop the loop.
+            if estimate is not None and estimate > _GEEV_MARGIN * epsilon:
                 continue
-            try:
-                agg = aggregated_stationary(build_aggregation(fact, p0))
-            except ComplexStationary as exc:
-                if builder.done:
-                    # A basis that lost its orthogonality (plain CGS on an
-                    # ill-conditioned Krylov space) is the usual cause.
-                    loss = orthogonality_loss(fact.basis)
-                    exc.args = (f"{exc}; the size-{fact.size} {method.variant} basis "
-                                f"has orthogonality loss {loss:.3e}",)
-                    raise
-                continue
-            crit = _relation_criterion(fact, agg.stationary)
-            agg = replace(agg, criterion=crit)
-            if crit <= epsilon or builder.done:
-                return agg
+        fact = builder.snapshot()
+        try:
+            agg = aggregated_stationary(build_aggregation(fact, p0))
+        except ComplexStationary as exc:
+            if builder.done:
+                # A basis that lost its orthogonality (plain CGS on an
+                # ill-conditioned Krylov space) is the usual cause.
+                loss = orthogonality_loss(fact.basis)
+                exc.args = (f"{exc}; the size-{fact.size} {method.variant} basis "
+                            f"has orthogonality loss {loss:.3e}",)
+                raise
+            continue
+        crit = _relation_criterion(fact, agg.stationary, direction_l1)
+        agg = replace(agg, criterion=crit)
+        if crit <= epsilon or builder.done:
+            return agg

@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, InputError, ZeroInitialVector
 from .mchain import StochasticMatrix, as_vector, inf_norm
-from .orthonorm import CGSIR, OrthMethod, orthogonalize_step
+# ``orthogonalize_step`` stays importable from this module, where callers
+# have looked it up; ``expand`` calls the helper behind it.
+from .orthonorm import CGSIR, OrthMethod, _orthogonalize, orthogonalize_step
 
 DEFLATION_TOL = 1e-12
 
@@ -78,11 +80,12 @@ class Aggregation:
 class ArnoldiBuilder:
     """Grows a Krylov factorization one direction at a time.
 
-    Single-owner while growing; ``snapshot()`` hands out read-only views of
-    the storage, which is preallocated at ``max_size`` so expansion never
-    reallocates.  The views stay valid as the builder grows: step j' writes
-    only basis row j' and step-coefficient row j' - 1, and a size-j
-    snapshot reads neither.
+    Single-owner while growing; ``snapshot()`` and the ``basis``,
+    ``hessenberg`` and ``residual_direction`` properties hand out read-only
+    views of the storage, which is preallocated at ``max_size`` so
+    expansion never reallocates.  The views stay valid as the builder
+    grows: step j' writes only basis row j' and step-coefficient row
+    j' - 1, and a size-j view reads neither.
     """
 
     def __init__(self, p_mat: StochasticMatrix, p0, max_size: int,
@@ -116,31 +119,50 @@ class ArnoldiBuilder:
     def done(self) -> bool:
         return self.deflated or self._steps >= self.max_size
 
+    @property
+    def basis(self) -> np.ndarray:
+        """Read-only view of the current basis rows."""
+        return _read_only(self._q[:self._steps])
+
+    @property
+    def hessenberg(self) -> np.ndarray:
+        """Read-only view of the current step matrix."""
+        return _read_only(self._h[:self._steps, :self._steps])
+
+    @property
+    def residual_norm(self) -> float:
+        """Norm of the last step's residual, before it became the next direction."""
+        return float(self._h[self._steps - 1, self._steps])
+
+    @property
+    def residual_direction(self) -> np.ndarray | None:
+        """Read-only view of the next direction, None once deflated."""
+        return None if self.deflated else _read_only(self._q[self._steps])
+
     def expand(self) -> None:
         """Run one orthogonalization step, growing the basis unless it deflates."""
         if self.done:
             raise InputError("factorization is complete; cannot expand further")
         j = self._steps + 1
+        # vec_mul returns a new vector, so it is orthogonalized in place.
         w = self.p_mat.vec_mul(self._q[j - 1])
-        step = orthogonalize_step(w, self._q[:j], self.method)
-        self._h[j - 1, :j] = step.coefficients
-        self._h[j - 1, j] = step.residual_norm
+        coefficients, r_norm, w_norm = _orthogonalize(w, self._q[:j], self.method)
+        self._h[j - 1, :j] = coefficients
+        self._h[j - 1, j] = r_norm
         self._steps = j
-        if step.residual_norm <= DEFLATION_TOL * float(np.linalg.norm(w)):
+        if r_norm <= DEFLATION_TOL * w_norm:
             self.deflated = True
         else:
-            self._q[j] = step.residual_vector / step.residual_norm
+            np.divide(w, r_norm, out=self._q[j])
 
     def snapshot(self) -> ArnoldiFactorization:
         if self._steps == 0:
             raise InputError("no steps taken yet; nothing to snapshot")
-        j = self._steps
-        direction = None if self.deflated else _read_only(self._q[j])
         return ArnoldiFactorization(
-            basis=_read_only(self._q[:j]),
-            hessenberg=_read_only(self._h[:j, :j]),
-            residual_norm=float(self._h[j - 1, j]),
-            residual_direction=direction,
+            basis=self.basis,
+            hessenberg=self.hessenberg,
+            residual_norm=self.residual_norm,
+            residual_direction=self.residual_direction,
             deflated=self.deflated,
         )
 

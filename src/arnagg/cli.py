@@ -143,6 +143,8 @@ def _parse_gen_spec(spec: str, seed) -> StochasticMatrix:
             raise InputError(f"bad generator parameter {item!r}")
         if key not in params or key == "seed":
             raise InputError(f"generator {name!r} has no parameter {key!r}")
+        if key in given:
+            raise InputError(f"generator parameter {key!r} given twice")
         given[key] = value
     try:
         kwargs = {key: kind(given[key]) if key in given else default

@@ -99,6 +99,30 @@ def _pass_modified(r: np.ndarray, q: np.ndarray) -> np.ndarray:
     return h
 
 
+def _orthogonalize(r: np.ndarray, q: np.ndarray, method: OrthMethod):
+    """Project ``r`` in place off the rows of ``q``, for ``orthogonalize_step`` and ``expand``.
+
+    Returns ``(coefficients, residual_norm, input_norm)``: the summed
+    coefficients of at most two passes and the 2-norms of ``r`` after and
+    before.  Each norm is taken once.
+    """
+    one_pass = _pass_classical if method.classical else _pass_modified
+    v_norm = float(np.linalg.norm(r))
+    h = one_pass(r, q)
+    r_norm = None
+    if q.shape[0]:
+        second = method.always_twice
+        if method.selective:
+            r_norm = float(np.linalg.norm(r))
+            second = r_norm < KAPPA * v_norm
+        if second:
+            h = h + one_pass(r, q)
+            r_norm = None
+    if r_norm is None:
+        r_norm = float(np.linalg.norm(r))
+    return h, r_norm, v_norm
+
+
 def orthogonalize_step(v, basis, method: OrthMethod = CGSIR) -> OrthStepResult:
     """Orthogonalize ``v`` against an orthonormal basis.
 
@@ -112,18 +136,9 @@ def orthogonalize_step(v, basis, method: OrthMethod = CGSIR) -> OrthStepResult:
     if v.shape[0] == 0:
         raise EmptyInput("cannot orthogonalize a length-0 vector")
     q = _as_basis(basis, v.shape[0])
-
-    one_pass = _pass_classical if method.classical else _pass_modified
-    v_norm = float(np.linalg.norm(v))
     r = v.copy()
-    h = one_pass(r, q)
-    if q.shape[0]:
-        second = method.always_twice or (
-            method.selective and float(np.linalg.norm(r)) < KAPPA * v_norm
-        )
-        if second:
-            h = h + one_pass(r, q)
-    return OrthStepResult(r, h, float(np.linalg.norm(r)))
+    h, r_norm, _ = _orthogonalize(r, q, method)
+    return OrthStepResult(r, h, r_norm)
 
 
 def orthogonality_loss(basis) -> float:

@@ -5,9 +5,11 @@ distributions come from explicit matrix powers, eigenvalues from
 characteristic polynomials built with the trace recursion, stationary
 vectors from plain power iteration, and conditioning from numpy's SVD.
 The exceptions are ``dynamic_geev_every_size``, the library's own
-dynamic loop before it skipped sizes, and ``stream_parse_matrixmarket``,
-its Matrix Market reader before entries went through ``np.loadtxt``; each
-is kept as the reference for the change that replaced it.
+dynamic loop before it skipped sizes, ``arnoldi_by_orthogonalize_step``,
+its Krylov loop before ``ArnoldiBuilder.expand`` orthogonalized in place,
+and ``stream_parse_matrixmarket``, its Matrix Market reader before entries
+went through ``np.loadtxt``; each is kept as the reference for the change
+that replaced it.
 ``orthonormalize_rows`` is a test harness, not a reference: it runs the
 library's ``orthogonalize_step`` over a sequence of vectors.  Matrix
 validation is checked against ``dense_validation_verdict``, plain loops
@@ -22,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from arnagg.aggregate import _relation_criterion
-from arnagg.arnoldi import ArnoldiBuilder, build_aggregation
+from arnagg.arnoldi import DEFLATION_TOL, ArnoldiBuilder, build_aggregation
 from arnagg.errors import (
     ComplexStationary,
     GeneratorRowSumViolation,
@@ -122,6 +124,28 @@ def krylov_matrix(p_dense: np.ndarray, p0: np.ndarray, count: int) -> np.ndarray
         rows[i] = v
         v = v @ p_dense
     return rows
+
+
+def arnoldi_by_orthogonalize_step(p_mat, p0, m, method=CGSIR):
+    """``arnoldi_iterate`` as a loop over the public ``orthogonalize_step``.
+
+    Returns ``(basis, hessenberg)`` of the factorization, of size ``m`` or
+    smaller on deflation.  ``ArnoldiBuilder.expand`` must give the same
+    arrays byte for byte.
+    """
+    v = np.asarray(p0, dtype=float)
+    q = np.zeros((m + 1, v.shape[0]))
+    h = np.zeros((m, m + 1))
+    q[0] = v / np.linalg.norm(v)
+    for j in range(1, m + 1):
+        w = p_mat.vec_mul(q[j - 1])
+        step = orthogonalize_step(w, q[:j], method)
+        h[j - 1, :j] = step.coefficients
+        h[j - 1, j] = step.residual_norm
+        if step.residual_norm <= DEFLATION_TOL * float(np.linalg.norm(w)):
+            return q[:j], h[:j, :j]
+        q[j] = step.residual_vector / step.residual_norm
+    return q[:m], h[:m, :m]
 
 
 def dynamic_geev_every_size(p_mat, p0, max_size, epsilon, step_size=1, method=CGSIR):

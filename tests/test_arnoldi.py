@@ -12,9 +12,9 @@ from arnagg.arnoldi import (
 from arnagg.errors import DimensionMismatch, InputError, ZeroInitialVector
 from arnagg.mchain import Distribution, StochasticMatrix, inf_norm
 from arnagg.models import counterexample, random_chain
-from arnagg.orthonorm import CGS2, CGSIR, MGS2, MGSIR
+from arnagg.orthonorm import CGS2, CGSIR, MGS2, MGSIR, VARIANTS, OrthMethod
 
-from oracles import transient_by_power
+from oracles import arnoldi_by_orthogonalize_step, transient_by_power
 
 STABLE_METHODS = (CGS2, MGS2, CGSIR, MGSIR)
 
@@ -164,6 +164,32 @@ class TestBuilder:
         b = ArnoldiBuilder(p, Distribution.uniform(3), 2)
         with pytest.raises(InputError):
             b.snapshot()
+
+
+def deflating_cycle():
+    """A 3-cycle beside an absorbing block: from state 0 the basis deflates at size 3."""
+    m = np.zeros((6, 6))
+    m[0, 1] = m[1, 2] = m[2, 0] = 1.0
+    m[3:, 3:] = 1.0 / 3.0
+    return StochasticMatrix(m), Distribution.point(6, 0)
+
+
+class TestExpandMatchesOrthogonalizeStep:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("chain", ["dense", "sparse", "deflating"])
+    def test_basis_and_hessenberg_are_byte_equal(self, variant, chain):
+        if chain == "deflating":
+            p, p0 = deflating_cycle()
+        else:
+            p = random_chain(40, 0.2, seed=[5, 1], sparse=chain == "sparse")
+            p0 = Distribution.random(p.n, seed=[5, 2])
+        method = OrthMethod(variant)
+        fact = arnoldi_iterate(p, p0, min(p.n, 30), method=method)
+        basis, hessenberg = arnoldi_by_orthogonalize_step(p, p0.values, min(p.n, 30), method)
+        assert fact.deflated == (chain == "deflating")
+        assert fact.basis.shape == basis.shape
+        assert fact.basis.tobytes() == basis.tobytes()
+        assert fact.hessenberg.tobytes() == hessenberg.tobytes()
 
 
 class TestRelationResidual:

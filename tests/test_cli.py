@@ -241,7 +241,10 @@ class TestAggregate:
         ("random:density=0.5", "'n'"),
         ("ncd:blocks=2", "'block_size'"),
         ("random:n=abc", "'abc'"),
-    ], ids=["unknown_key", "missing_n", "missing_block_size", "bad_value"])
+        ("random:n=5,n=6", "'n' given twice"),
+        ("ncd:blocks=2,block_size=3,block_size=3", "'block_size' given twice"),
+    ], ids=["unknown_key", "missing_n", "missing_block_size", "bad_value", "repeated_key",
+            "repeated_key_same_value"])
     def test_bad_gen_spec_exits_2_before_any_chain_is_built(self, tmp_path, capsys,
                                                             monkeypatch, spec, named):
         def never(*args, **kwargs):
