@@ -158,8 +158,8 @@ class ErrorTrace:
 
     ``errors[i]`` is the 1-norm error at step ``steps[i]``; the two bound
     arrays line up with ``steps``.  ``static_error`` is the max-row-sum
-    norm of the exactness defect.  ``criterion`` and ``stationary_residual``
-    are present when the aggregation carries a stationary vector.
+    norm of the exactness defect.  ``criterion`` is present when the
+    aggregation carries a stationary vector.
     """
 
     steps: np.ndarray
@@ -168,7 +168,6 @@ class ErrorTrace:
     bound_general: np.ndarray
     static_error: float
     criterion: float | None = None
-    stationary_residual: float | None = None
 
     def __len__(self):
         return len(self.steps)
@@ -217,7 +216,7 @@ def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
                 walk.advance(k - done)
                 walk.record(i, k, p_k)
             done = k
-    return [walk.result(p_mat, ks) for walk in walks]
+    return [walk.result(ks) for walk in walks]
 
 
 class _AggregatedWalk:
@@ -267,13 +266,10 @@ class _AggregatedWalk:
         self.specific[i] = self.acc_specific
         self.general[i] = self.acc_general
 
-    def result(self, p_mat: StochasticMatrix, ks: list[int]) -> ErrorTrace:
+    def result(self, ks: list[int]) -> ErrorTrace:
         criterion = None
-        stationary_residual = None
         if self.agg.stationary is not None:
             criterion = float(np.abs(self.agg.stationary) @ self.defect_rows)
-            image = self.agg.stationary @ self.agg.disaggregation
-            stationary_residual = float(np.abs(image - p_mat.vec_mul(image)).sum())
         return ErrorTrace(
             steps=np.array(ks, dtype=int),
             errors=self.errors,
@@ -281,7 +277,6 @@ class _AggregatedWalk:
             bound_general=self.general,
             static_error=self.static_error,
             criterion=criterion,
-            stationary_residual=stationary_residual,
         )
 
 

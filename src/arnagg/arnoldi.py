@@ -10,7 +10,7 @@ which holds the scaled residual direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,12 +51,14 @@ class ArnoldiFactorization:
 class Aggregation:
     """A reduced linear system (step matrix, disaggregation map, start vector).
 
-    ``stationary`` is attached by the Schur path and is scaled so that its
-    disaggregated image has unit 1-norm.  ``criterion`` carries the
-    convergence-criterion value for aggregations built by the dynamic
-    pipeline.  ``build_aggregation`` aliases the factorization's arrays, so
-    on a snapshot ``step_matrix`` and ``disaggregation`` are read-only
-    views of the builder's storage.
+    ``stationary`` is attached by ``aggregated_stationary``: the real left
+    eigenvector that LAPACK returns for the step matrix's eigenvalue
+    closest to one, scaled so that its disaggregated image has unit 1-norm.
+    No stationary vector is attached when that eigenvalue is complex.
+    ``criterion`` carries the convergence-criterion value for aggregations
+    built by the dynamic pipeline.  ``build_aggregation`` aliases the
+    factorization's arrays, so on a snapshot ``step_matrix`` and
+    ``disaggregation`` are read-only views of the builder's storage.
     """
 
     step_matrix: np.ndarray
@@ -72,9 +74,6 @@ class Aggregation:
     @property
     def n_states(self) -> int:
         return self.disaggregation.shape[1]
-
-    def with_stationary(self, stationary: np.ndarray, criterion: float | None = None):
-        return replace(self, stationary=stationary, criterion=criterion)
 
 
 class ArnoldiBuilder:

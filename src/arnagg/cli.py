@@ -219,6 +219,7 @@ class RunConfig:
 
 
 def _run_config(args, sizes: list[int]) -> RunConfig:
+    _workers(args.samples)  # a bad ARNAGG_THREADS fails before the chain loads
     return RunConfig(
         chain=_load_chain(args),
         p0_source=args.p0,
@@ -388,6 +389,8 @@ def _cmd_bench(args) -> int:
         raise InputError(f"warmup must be >= 1, got {args.warmup}")
     if args.reps < 1:
         raise InputError(f"reps must be >= 1, got {args.reps}")
+    if args.trace_k < 0:
+        raise InputError(f"trace-k must be >= 0, got {args.trace_k}")
     chain = _load_chain(args) if (args.input or args.gen) else random_chain(
         args.n, density=args.density, seed=args.seed, sparse=True
     )

@@ -96,9 +96,10 @@ class NoConvergence(NumericalError):
 
 
 class ComplexStationary(NumericalError):
+    """The eigenvalue selected for the stationary vector is complex."""
+
     def __init__(self, imag_magnitude):
         self.imag_magnitude = imag_magnitude
         super().__init__(
-            f"selected stationary eigenvector keeps imaginary mass {imag_magnitude:.3e} "
-            "after phase alignment"
+            f"selected stationary eigenvalue has imaginary part of magnitude {imag_magnitude:.3e}"
         )

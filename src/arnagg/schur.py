@@ -11,23 +11,21 @@ eigensolver ``geev`` for :func:`aggregated_stationary`.  Conventions:
   ascending imaginary magnitude, realized through unitary adjacent swaps,
   so sorting never changes the eigenvalue multiset.
 * Stationary vectors of a step matrix are its left eigenvectors; they are
-  read as right eigenvectors of the transposed matrix.  For a real
-  eigenvalue of a real matrix LAPACK returns a real eigenvector, so no
-  rounding-level imaginary mass enters the stationary vector.
+  read as right eigenvectors of the transposed matrix.  For a real matrix
+  ``geev`` decides exactly whether an eigenvalue is real: a real one has an
+  imaginary part of exactly zero and a real eigenvector, which is used
+  directly.  A selected eigenvalue with a nonzero imaginary part is complex,
+  and no stationary vector is returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .arnoldi import Aggregation
 from .errors import ComplexStationary, NoConvergence, ShapeError, ZeroVector
-
-# Imaginary mass left after phase alignment is rounding noise up to this
-# threshold and dropped; above it the stationary vector is genuinely complex.
-IMAG_ERROR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -110,25 +108,20 @@ def aggregated_stationary(agg: Aggregation) -> Aggregation:
 
     The stationary vector is a left eigenvector of the step matrix, taken
     from the eigenpairs of its transpose with the selection rule of
-    :func:`leading_eigvec`, phase-aligned, cast to real, and scaled so its
-    disaggregated image has unit 1-norm.
+    :func:`leading_eigvec`, and scaled so its disaggregated image has unit
+    1-norm and a nonnegative sum.  Raises ComplexStationary when the
+    selected eigenvalue has a nonzero imaginary part.
     """
     try:
         evs, vecs = np.linalg.eig(agg.step_matrix.T)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration: {exc}") from exc
-    v = vecs[:, _closest_to_one(evs)]
-    j = int(np.argmax(np.abs(v)))
-    v = v * np.conj(v[j] / abs(v[j]))
-    imag = float(np.max(np.abs(v.imag)))
-    if imag > IMAG_ERROR_TOL:
-        raise ComplexStationary(imag)
-    pi = v.real.copy()
+    i = _closest_to_one(evs)
+    if evs[i].imag != 0.0:
+        raise ComplexStationary(abs(float(evs[i].imag)))
+    pi = vecs[:, i].real
     image = pi @ agg.disaggregation
-    if image.sum() < 0.0:
-        pi = -pi
-        image = -image
     nrm = float(np.abs(image).sum())
     if nrm == 0.0:
         raise ZeroVector("stationary candidate disaggregates to the zero vector")
-    return agg.with_stationary(pi / nrm, criterion=agg.criterion)
+    return replace(agg, stationary=pi / (-nrm if image.sum() < 0.0 else nrm))

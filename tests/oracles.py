@@ -7,9 +7,10 @@ vectors from plain power iteration, and conditioning from numpy's SVD.
 The exceptions are ``dynamic_geev_every_size``, the library's own
 dynamic loop before it skipped sizes, ``arnoldi_by_orthogonalize_step``,
 its Krylov loop before ``ArnoldiBuilder.expand`` orthogonalized in place,
-and ``stream_parse_matrixmarket``, its Matrix Market reader before entries
-went through ``np.loadtxt``; each is kept as the reference for the change
-that replaced it.
+``stream_parse_matrixmarket``, its Matrix Market reader before entries
+went through ``np.loadtxt``, and ``stationary_by_phase_alignment``, its
+stationary extraction before LAPACK's real/complex verdict decided alone;
+each is kept as the reference for the change that replaced it.
 ``orthonormalize_rows`` is a test harness, not a reference: it runs the
 library's ``orthogonalize_step`` over a sequence of vectors.  Matrix
 validation is checked against ``dense_validation_verdict``, plain loops
@@ -30,13 +31,15 @@ from arnagg.errors import (
     GeneratorRowSumViolation,
     InputError,
     NegativeEntry,
+    NoConvergence,
     ParseError,
     RowSumViolation,
     ShapeError,
+    ZeroVector,
 )
 from arnagg.mchain import _MM_HEADER, _MM_UNBACKED_MAX
 from arnagg.orthonorm import CGSIR, orthogonality_loss, orthogonalize_step
-from arnagg.schur import aggregated_stationary
+from arnagg.schur import _closest_to_one, aggregated_stationary
 
 
 def transient_by_power(p_dense: np.ndarray, p0: np.ndarray, k: int) -> np.ndarray:
@@ -172,6 +175,40 @@ def dynamic_geev_every_size(p_mat, p0, max_size, epsilon, step_size=1, method=CG
             crit = _relation_criterion(fact, agg.stationary)
             if crit <= epsilon or builder.done:
                 return replace(agg, criterion=crit)
+
+
+# Imaginary mass left after phase alignment is rounding noise up to this
+# threshold and dropped; above it the stationary vector is genuinely complex.
+IMAG_ERROR_TOL = 1e-8
+
+
+def stationary_by_phase_alignment(agg):
+    """``aggregated_stationary`` before it read LAPACK's real/complex verdict.
+
+    The selected eigenvector is phase-aligned on its largest entry and its
+    imaginary part dropped when below ``IMAG_ERROR_TOL``.  The library must
+    give the same ``ComplexStationary`` verdict at every size, and a
+    stationary vector equal to this one up to rounding.
+    """
+    try:
+        evs, vecs = np.linalg.eig(agg.step_matrix.T)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalue iteration: {exc}") from exc
+    v = vecs[:, _closest_to_one(evs)]
+    j = int(np.argmax(np.abs(v)))
+    v = v * np.conj(v[j] / abs(v[j]))
+    imag = float(np.max(np.abs(v.imag)))
+    if imag > IMAG_ERROR_TOL:
+        raise ComplexStationary(imag)
+    pi = v.real.copy()
+    image = pi @ agg.disaggregation
+    if image.sum() < 0.0:
+        pi = -pi
+        image = -image
+    nrm = float(np.abs(image).sum())
+    if nrm == 0.0:
+        raise ZeroVector("stationary candidate disaggregates to the zero vector")
+    return replace(agg, stationary=pi / nrm)
 
 
 def stream_parse_matrixmarket(path):

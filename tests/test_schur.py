@@ -2,25 +2,28 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arnagg
 from arnagg.aggregate import pipeline_dynamic
-from arnagg.arnoldi import Aggregation, arnoldi_iterate, build_aggregation
+from arnagg.arnoldi import Aggregation, ArnoldiBuilder, arnoldi_iterate, build_aggregation
 from arnagg.errors import (
     ComplexStationary,
     NoConvergence,
     ShapeError,
+    ZeroVector,
 )
 from arnagg.mchain import Distribution, inf_norm
 from arnagg.models import counterexample, random_chain, random_ncd
-from arnagg.orthonorm import CGS, CGS2, CGSIR, MGS, MGS2, MGSIR
+from arnagg.orthonorm import CGS, CGS2, CGSIR, MGS, MGS2, MGSIR, VARIANTS, OrthMethod
 from arnagg.schur import (
-    IMAG_ERROR_TOL,
     aggregated_stationary,
     leading_eigvec,
     schur_decompose,
@@ -30,6 +33,7 @@ from oracles import (
     eigenvalues_by_char_poly,
     multiset_distance,
     power_iteration_stationary,
+    stationary_by_phase_alignment,
 )
 
 
@@ -209,8 +213,15 @@ class TestAggregatedStationary:
             disaggregation=np.eye(2),
             initial=np.array([1.0, 0.0]),
         )
-        with pytest.raises(ComplexStationary):
+        with pytest.raises(ComplexStationary) as err:
             aggregated_stationary(agg)
+        assert err.value.imag_magnitude == pytest.approx(math.sin(theta), rel=1e-15)
+        assert "imaginary part of magnitude 4.794e-01" in str(err.value)
+
+    def test_criterion_is_kept(self):
+        p, p0 = counterexample(0.5)
+        agg = replace(build_aggregation(arnoldi_iterate(p, p0, 1), p0), criterion=0.25)
+        assert aggregated_stationary(agg).criterion == 0.25
 
     def test_known_defect_chain_returns_its_stationary_vector(self):
         # The Schur-vector path left 1.26e-8 of imaginary mass in this real
@@ -229,11 +240,16 @@ class TestAggregatedStationary:
 
 
 def schur_reference_image(agg):
-    """Stationary image read off the sorted Schur form, or None if complex."""
+    """Stationary image read off the sorted Schur form, or None if complex.
+
+    A Schur vector carries an arbitrary complex phase, so it is aligned on
+    its largest entry and taken as real when at most 1e-8 of imaginary mass
+    is left.
+    """
     _, v = leading_eigvec(schur_decompose(agg.step_matrix.T))
     j = int(np.argmax(np.abs(v)))
     v = v * np.conj(v[j] / abs(v[j]))
-    if np.abs(v.imag).max() > IMAG_ERROR_TOL:
+    if np.abs(v.imag).max() > 1e-8:
         return None
     image = v.real @ agg.disaggregation
     if image.sum() < 0.0:
@@ -261,6 +277,46 @@ def test_eigenpair_path_matches_schur_path(method):
             assert np.abs(out.stationary @ out.disaggregation - reference).sum() <= 1e-9
             compared += 1
     assert compared >= 40
+
+
+@st.composite
+def stationary_cases(draw):
+    """An NCD chain (2-6 blocks of 3-10 states, coupling 1e-2 to 1e-6) or a
+    dense or sparse random chain of 10-80 states, with a start vector."""
+    kind = draw(st.sampled_from(["ncd", "dense", "sparse"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if kind == "ncd":
+        coupling = 10.0 ** -draw(st.floats(2.0, 6.0))
+        p = random_ncd(draw(st.integers(2, 6)), draw(st.integers(3, 10)), coupling, seed=seed)
+    else:
+        p = random_chain(draw(st.integers(10, 80)), draw(st.floats(0.02, 1.0)), seed=seed,
+                         sparse=kind == "sparse")
+    return p, Distribution.random(p.n, seed=[seed, 1])
+
+
+def stationary_or_verdict(extract, agg):
+    """The stationary vector ``extract`` attaches, or the class of its refusal."""
+    try:
+        return extract(agg).stationary
+    except (ComplexStationary, ZeroVector) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(case=stationary_cases())
+def test_exact_rule_matches_phase_alignment_at_every_size(variant, case):
+    p, p0 = case
+    builder = ArnoldiBuilder(p, p0, p.n, method=OrthMethod(variant))
+    while not builder.done:
+        builder.expand()
+        agg = build_aggregation(builder.snapshot(), p0)
+        got = stationary_or_verdict(aggregated_stationary, agg)
+        want = stationary_or_verdict(stationary_by_phase_alignment, agg)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want, f"size {agg.size}"
+            continue
+        assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max(), f"size {agg.size}"
 
 
 def test_pipelines_do_not_import_scipy_linalg():
