@@ -6,8 +6,10 @@ upper bounds, both accumulated step by step: the specific bound adds the
 current aggregated vector's weighted absolute row sums of the exactness
 defect, the general bound adds the geometric majorant
 ``||pi_0||_1 * ||step_matrix||_inf^i`` of that vector's 1-norm times the
-defect's largest row sum.  The exactness defect ``step_matrix @ A - A @ P``
-is materialized once per aggregation and only its row sums are kept.
+defect's largest row sum.  Only the absolute row sums of the exactness
+defect ``step_matrix @ A - A @ P`` are kept, and no j x n defect is formed:
+a Krylov step matrix is Hessenberg, so each defect row is one short
+product shared by every larger leading block (see ``_defect_row_sums``).
 """
 
 from __future__ import annotations
@@ -157,9 +159,10 @@ class ErrorTrace:
     """Per-step approximation errors of an aggregation, with bounds.
 
     ``errors[i]`` is the 1-norm error at step ``steps[i]``; the two bound
-    arrays line up with ``steps``.  ``static_error`` is the max-row-sum
-    norm of the exactness defect.  ``criterion`` is present when the
-    aggregation carries a stationary vector.
+    arrays line up with ``steps`` (nan where the caller asked for no
+    bounds).  ``static_error`` is the max-row-sum norm of the exactness
+    defect.  ``criterion`` is present when the aggregation carries a
+    stationary vector.
     """
 
     steps: np.ndarray
@@ -178,21 +181,29 @@ def error_trace(p_mat: StochasticMatrix, p0, agg: Aggregation, ks,
     """Walk chain and aggregation in lockstep, recording errors and bounds.
 
     ``ks`` must be ascending step counts.  The chain is walked once, to
-    ``ks[-1]``; the aggregated vector takes the same steps next to it.  The
-    exactness defect is materialised once and only its absolute row sums
-    are kept.  The initial error feeding both bounds is measured, not
-    assumed zero, which doubles as a check of the aggregated start vector.
-    This is the one-aggregation case of ``_error_traces``.
+    ``ks[-1]``; the aggregated vector takes the same steps next to it.  Of
+    the exactness defect only the absolute row sums are computed, row by
+    row (``_defect_row_sums``), never the j x n matrix.  The initial error
+    feeding both bounds is measured, not assumed zero, which doubles as a
+    check of the aggregated start vector.  This is the one-aggregation case
+    of ``_error_traces``.
     """
     return _error_traces(p_mat, p0, [agg], ks, policy=policy)[0]
 
 
 def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
-                  policy: NormalizationPolicy = NEVER) -> list[ErrorTrace]:
+                  policy: NormalizationPolicy = NEVER,
+                  bounds: bool = True) -> list[ErrorTrace]:
     """``[error_trace(p_mat, p0, agg, ks, policy) for agg in aggs]`` on one chain walk.
 
+    Every aggregation must be a leading block of the largest one, as the
+    snapshots of one ``ArnoldiBuilder`` are: step matrix ``H[:j, :j]`` and
+    disaggregation ``Q[:j]``.  Their defect rows are then computed in one
+    pass, and an aggregation that is not such a block raises InputError.
     At each checkpoint every aggregation's walk catches up with the chain,
     so each trace takes the same steps, in the same order, as on its own.
+    With ``bounds=False`` no bound is accumulated and both bound arrays
+    read nan.
     """
     ks = [int(k) for k in ks]
     if not ks:
@@ -205,8 +216,17 @@ def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
     if not np.isfinite(p).all():
         raise InputError("start vector has non-finite entries")
 
-    # Built one after the other, so one defect is alive at a time.
-    walks = [_AggregatedWalk(p_mat, p, agg, len(ks), policy) for agg in aggs]
+    largest = max(aggs, key=lambda agg: agg.size)
+    for agg in aggs:
+        j = agg.size
+        if not (agg is largest
+                or np.array_equal(agg.step_matrix, largest.step_matrix[:j, :j])
+                and np.array_equal(agg.disaggregation, largest.disaggregation[:j])):
+            raise InputError(f"the size-{j} aggregation is not a leading block of "
+                             f"the size-{largest.size} one")
+    rows = _defect_row_sums(p_mat, largest, [agg.size for agg in aggs])
+    walks = [_AggregatedWalk(p, agg, defect_rows, len(ks), policy, bounds)
+             for agg, defect_rows in zip(aggs, rows)]
     done = 0
     # Overflow is not warned about: a bound or error past the float range
     # reads inf, and ``record`` rejects an approximation that is not finite.
@@ -219,40 +239,76 @@ def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
     return [walk.result(ks) for walk in walks]
 
 
+def _defect_row_sums(p_mat: StochasticMatrix, agg: Aggregation,
+                     sizes) -> list[np.ndarray]:
+    """Absolute row sums of the exactness defects of ``agg``'s leading blocks.
+
+    Entry ``[s][i]`` is the 1-norm of row ``i`` of the defect of the
+    size-``sizes[s]`` block, the equal of
+    ``np.abs(exactness_defect(p_mat, block)).sum(axis=1)`` up to rounding.
+    With ``H``, ``Q`` the step matrix and disaggregation of ``agg`` and
+    ``W = Q P``, row ``i`` of the size-j defect is
+    ``H[i, :m] @ Q[:m] - W[i]``, where ``m = min(i + 2, j)`` for a
+    Hessenberg ``H`` (zero above its first superdiagonal), as Krylov step
+    matrices are; otherwise ``m = j``.  So a Hessenberg row is shared by
+    every size above ``i + 1``, and each size adds only its last row.
+    Each distinct row is summed once, and ``W`` is built row by row with
+    ``vec_mul``, the walk's own kernel, so a size's sums have the same bits
+    whichever other sizes share the call.
+    """
+    h, q = agg.step_matrix, agg.disaggregation
+    w = [p_mat.vec_mul(row) for row in q[:max(sizes)]]
+    hessenberg = not np.triu(h, 2).any()
+    sums = {}
+
+    def row_sum(i: int, m: int) -> float:
+        if (i, m) not in sums:
+            sums[i, m] = float(np.abs(h[i, :m] @ q[:m] - w[i]).sum())
+        return sums[i, m]
+
+    return [np.array([row_sum(i, min(i + 2, j) if hessenberg else j) for i in range(j)])
+            for j in sizes]
+
+
 class _AggregatedWalk:
     """One aggregation's side of an error trace: its walk, bounds and errors.
 
     Each step allocates the next aggregated vector; the walk starts from
-    ``agg.initial`` itself, which it never writes to.
+    ``agg.initial`` itself, which it never writes to.  ``defect_rows``
+    holds the absolute row sums of the exactness defect.  Without
+    ``bounds`` the walk only steps, and the bound arrays stay nan.
     """
 
-    def __init__(self, p_mat: StochasticMatrix, p0: np.ndarray, agg: Aggregation,
-                 checkpoints: int, policy: NormalizationPolicy):
+    def __init__(self, p0: np.ndarray, agg: Aggregation, defect_rows: np.ndarray,
+                 checkpoints: int, policy: NormalizationPolicy, bounds: bool):
         self.agg = agg
         self.policy = policy
-        self.defect_rows = np.abs(exactness_defect(p_mat, agg)).sum(axis=1)
-        self.static_error = float(self.defect_rows.max()) if self.defect_rows.size else 0.0
-        self.inf_step = inf_norm(agg.step_matrix)
+        self.bounds = bounds
+        self.defect_rows = defect_rows
+        self.static_error = float(defect_rows.max()) if defect_rows.size else 0.0
         self.pi = agg.initial
-        self.e0 = float(np.abs(self.pi @ agg.disaggregation - p0).sum())
-        self.acc_specific = self.acc_general = self.e0
-        # Majorant ||initial||_1 * inf_step^i of the current vector's 1-norm.
-        self.mass = float(np.abs(self.pi).sum())
         self.errors = np.empty(checkpoints)
-        self.specific = np.empty(checkpoints)
-        self.general = np.empty(checkpoints)
+        self.specific = np.full(checkpoints, np.nan)
+        self.general = np.full(checkpoints, np.nan)
+        if bounds:
+            self.inf_step = inf_norm(agg.step_matrix)
+            e0 = float(np.abs(self.pi @ agg.disaggregation - p0).sum())
+            self.acc_specific = self.acc_general = e0
+            # Majorant ||initial||_1 * inf_step^i of the current vector's 1-norm.
+            self.mass = float(np.abs(self.pi).sum())
 
     def advance(self, steps: int) -> None:
-        """Take ``steps`` aggregated steps, accumulating both bounds.
+        """Take ``steps`` aggregated steps, accumulating the bounds if kept.
 
         For size 1 the general term ``mass * static_error`` is the specific
         term ``|pi| @ defect_rows`` float for float, so there the two bounds
         are equal.
         """
         for _ in range(steps):
-            self.acc_specific += float(np.abs(self.pi) @ self.defect_rows)
-            self.acc_general += self.mass * self.static_error
-            self.mass *= self.inf_step
+            if self.bounds:
+                self.acc_specific += float(np.abs(self.pi) @ self.defect_rows)
+                self.acc_general += self.mass * self.static_error
+                self.mass *= self.inf_step
             self.pi = self.pi @ self.agg.step_matrix
 
     def record(self, i: int, k: int, p_k: np.ndarray) -> None:
@@ -263,8 +319,9 @@ class _AggregatedWalk:
                                  f"longer finite at step {k}")
         approx = normalize(image, self.policy).values
         self.errors[i] = float(np.abs(approx - p_k).sum())
-        self.specific[i] = self.acc_specific
-        self.general[i] = self.acc_general
+        if self.bounds:
+            self.specific[i] = self.acc_specific
+            self.general[i] = self.acc_general
 
     def result(self, ks: list[int]) -> ErrorTrace:
         criterion = None

@@ -9,9 +9,10 @@ byte-identical files apart from wall-time columns.  Exit codes: 0 success,
 ``trace`` and ``sweep`` run one job per sample on a thread pool;
 ARNAGG_THREADS caps how many samples run concurrently.  A sweep sample grows
 one Krylov factorization to its largest size, snapshots it at every size and
-walks the chain once for all of them.  A sweep row's wall_time is its
-sample's wall time divided by the number of sizes, so a sample's rows sum to
-its wall time.
+walks the chain once for all of them; the sizes share their defect rows, and
+no bound is summed, since a sweep row has no bound column.  A sweep row's
+wall_time is its sample's wall time divided by the number of sizes, so a
+sample's rows sum to its wall time.
 """
 
 from __future__ import annotations
@@ -219,14 +220,16 @@ class RunConfig:
 
 
 def _run_config(args, sizes: list[int]) -> RunConfig:
-    _workers(args.samples)  # a bad ARNAGG_THREADS fails before the chain loads
+    # A bad ARNAGG_THREADS or --ks fails before the chain loads.
+    _workers(args.samples)
+    ks = _parse_int_list(args.ks, "k")
     return RunConfig(
         chain=_load_chain(args),
         p0_source=args.p0,
         method=parse_method(args.method),
         policy=parse_policy(args.policy),
         sizes=sizes,
-        ks=_parse_int_list(args.ks, "k"),
+        ks=ks,
         samples=args.samples,
         seed=args.seed,
         out=args.out,
@@ -364,7 +367,7 @@ def _sweep_rows(cfg: RunConfig, sample: int) -> list[list]:
         except ComplexStationary:
             pass
         aggs.append(agg)
-    traces = _error_traces(cfg.chain, p0, aggs, cfg.ks, policy=cfg.policy)
+    traces = _error_traces(cfg.chain, p0, aggs, cfg.ks, policy=cfg.policy, bounds=False)
     wall = (time.perf_counter() - start) / len(cfg.sizes)
     return [
         [str(size), trace.static_error,
@@ -391,10 +394,10 @@ def _cmd_bench(args) -> int:
         raise InputError(f"reps must be >= 1, got {args.reps}")
     if args.trace_k < 0:
         raise InputError(f"trace-k must be >= 0, got {args.trace_k}")
+    sizes = _parse_int_list(args.sizes, "size")
     chain = _load_chain(args) if (args.input or args.gen) else random_chain(
         args.n, density=args.density, seed=args.seed, sparse=True
     )
-    sizes = _parse_int_list(args.sizes, "size")
     _check_sizes(sizes, chain.n)
     p0 = _make_p0(args.p0, chain.n, args.seed)
     method = parse_method(args.method)

@@ -8,9 +8,11 @@ The exceptions are ``dynamic_geev_every_size``, the library's own
 dynamic loop before it skipped sizes, ``arnoldi_by_orthogonalize_step``,
 its Krylov loop before ``ArnoldiBuilder.expand`` orthogonalized in place,
 ``stream_parse_matrixmarket``, its Matrix Market reader before entries
-went through ``np.loadtxt``, and ``stationary_by_phase_alignment``, its
-stationary extraction before LAPACK's real/complex verdict decided alone;
-each is kept as the reference for the change that replaced it.
+went through ``np.loadtxt``, ``stationary_by_phase_alignment``, its
+stationary extraction before LAPACK's real/complex verdict decided alone,
+and ``defect_rows_by_gemm``, its defect row sums before rows were shared
+across sizes; each is kept as the reference for the change that replaced
+it.
 ``orthonormalize_rows`` is a test harness, not a reference: it runs the
 library's ``orthogonalize_step`` over a sequence of vectors.  Matrix
 validation is checked against ``dense_validation_verdict``, plain loops
@@ -24,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 
-from arnagg.aggregate import _relation_criterion
+from arnagg.aggregate import _relation_criterion, exactness_defect
 from arnagg.arnoldi import DEFLATION_TOL, ArnoldiBuilder, build_aggregation
 from arnagg.errors import (
     ComplexStationary,
@@ -175,6 +177,15 @@ def dynamic_geev_every_size(p_mat, p0, max_size, epsilon, step_size=1, method=CG
             crit = _relation_criterion(fact, agg.stationary)
             if crit <= epsilon or builder.done:
                 return replace(agg, criterion=crit)
+
+
+def defect_rows_by_gemm(p_mat, agg) -> np.ndarray:
+    """Absolute row sums of ``agg``'s exactness defect, materialised per size.
+
+    ``_error_traces`` took them this way, one j x n defect per aggregation,
+    before each row was computed once and shared by every size.
+    """
+    return np.abs(exactness_defect(p_mat, agg)).sum(axis=1)
 
 
 # Imaginary mass left after phase alignment is rounding noise up to this

@@ -1,4 +1,4 @@
-import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from arnagg.aggregate import (
     NEVER,
     ErrorTrace,
     NormalizationPolicy,
+    _defect_row_sums,
     _error_traces,
     _estimated_criterion,
     _relation_criterion,
@@ -26,6 +27,7 @@ from arnagg.aggregate import (
     pipeline_schur,
 )
 from arnagg.arnoldi import (
+    Aggregation,
     ArnoldiBuilder,
     ArnoldiFactorization,
     arnoldi_iterate,
@@ -50,7 +52,12 @@ from arnagg.models import counterexample, random_chain, random_ncd
 from arnagg.orthonorm import CGS, CGSIR, VARIANTS, OrthMethod, orthogonality_loss
 from arnagg.schur import aggregated_stationary
 
-from oracles import dynamic_geev_every_size, power_iteration_stationary, transient_by_power
+from oracles import (
+    defect_rows_by_gemm,
+    dynamic_geev_every_size,
+    power_iteration_stationary,
+    transient_by_power,
+)
 
 
 def smallest_passing_size(p, p0, eps, max_size):
@@ -432,21 +439,89 @@ class TestErrorTraces:
             for name in ("static_error", "criterion"):
                 assert getattr(g, name) == getattr(e, name), name
 
-    def test_one_defect_alive_at_a_time(self, monkeypatch):
-        p = random_chain(40, 0.3, seed=81)
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_defect_rows_cost_one_vec_mul_per_basis_row(self, monkeypatch, sparse):
+        p = random_chain(40, 0.3, seed=81, sparse=sparse)
         p0 = Distribution.random(40, seed=82)
-        aggs = [pipeline_naive(p, p0, j) for j in (3, 6, 9)]
-        defects, alive_before = [], []
+        builder = ArnoldiBuilder(p, p0, 9)
+        aggs = []
+        for j in (3, 6, 9):
+            while builder.size < j:
+                builder.expand()
+            aggs.append(build_aggregation(builder.snapshot(), p0))
+        calls = []
 
-        def recording(p_mat, agg):
-            alive_before.append(sum(ref() is not None for ref in defects))
-            defect = exactness_defect(p_mat, agg)
-            defects.append(weakref.ref(defect))
-            return defect
+        def counting(name):
+            real = getattr(StochasticMatrix, name)
+            return lambda self, a: calls.append(name) or real(self, a)
 
-        monkeypatch.setattr("arnagg.aggregate.exactness_defect", recording)
+        for name in ("vec_mul", "mat_mul"):
+            monkeypatch.setattr(StochasticMatrix, name, counting(name))
         _error_traces(p, p0, aggs, [0, 5])
-        assert alive_before == [0, 0, 0]
+        # Five walk steps plus one W = Q P row per basis row of the largest size.
+        assert calls == ["vec_mul"] * (5 + 9)
+
+
+@st.composite
+def nested_block_cases(draw):
+    """A chain, a Krylov aggregation of it and some sizes of its leading blocks."""
+    kind = draw(st.sampled_from(["dense", "csr", "ncd", "deflating"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "ncd":
+        p = random_ncd(draw(st.integers(2, 4)), draw(st.integers(2, 8)),
+                       draw(st.sampled_from([1e-2, 1e-4, 1e-6])), seed=seed)
+        p0 = Distribution.random(p.n, seed=seed + 1)
+    elif kind == "deflating":
+        # A permutation chain from a point start deflates at the length of
+        # the start's cycle.
+        n = draw(st.integers(2, 30))
+        p = StochasticMatrix(np.eye(n)[np.random.default_rng(seed).permutation(n)])
+        p0 = Distribution.point(n, draw(st.integers(0, n - 1)))
+    else:
+        n = draw(st.integers(2, 40))
+        p = random_chain(n, draw(st.floats(0.05, 1.0)), seed=seed, sparse=kind == "csr")
+        p0 = Distribution.random(n, seed=seed + 1)
+    method = OrthMethod(draw(st.sampled_from(VARIANTS)))
+    agg = pipeline_naive(p, p0, draw(st.integers(1, p.n)), method=method)
+    sizes = sorted(draw(st.sets(st.integers(1, agg.size), min_size=1, max_size=6)))
+    return p, agg, sizes
+
+
+def leading_block(agg, j):
+    return Aggregation(step_matrix=agg.step_matrix[:j, :j],
+                       disaggregation=agg.disaggregation[:j], initial=agg.initial[:j])
+
+
+class TestDefectRowSums:
+    # Both forms sum the same terms in other orders, so they differ by
+    # rounding only.  On these chains (at most 40 states) a row sum stays of
+    # order one (3.2 at most over the examples) and gathers a few hundred
+    # roundings of at most 2**-53 each, about 1e-13; 1e-12 leaves a margin.
+    ATOL = 1e-12
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(nested_block_cases())
+    def test_shared_rows_match_the_gemm_defect_alone_and_alongside(self, case):
+        p, agg, sizes = case
+        together = _defect_row_sums(p, agg, sizes)
+        for j, rows in zip(sizes, together):
+            block = leading_block(agg, j)
+            assert np.abs(rows - defect_rows_by_gemm(p, block)).max() <= self.ATOL
+            assert rows.tobytes() == _defect_row_sums(p, block, [j])[0].tobytes()
+
+    def test_non_hessenberg_step_matrix_shares_no_row(self):
+        p = random_chain(6, 1.0, seed=3)
+        agg = replace(pipeline_naive(p, Distribution.random(6, seed=4), 4),
+                      step_matrix=np.full((4, 4), 0.25))
+        for j, rows in zip([2, 4], _defect_row_sums(p, agg, [2, 4])):
+            assert np.abs(rows - defect_rows_by_gemm(p, leading_block(agg, j))).max() \
+                <= self.ATOL
+
+    def test_traces_need_leading_blocks_of_the_largest(self):
+        p = random_chain(12, 0.5, seed=5)
+        aggs = [pipeline_naive(p, Distribution.random(12, seed=s), 4) for s in (6, 7)]
+        with pytest.raises(InputError, match="not a leading block"):
+            _error_traces(p, Distribution.random(12, seed=6), aggs, [3])
 
 
 class TestBoundChainProperty:

@@ -376,6 +376,21 @@ class TestTrace:
                    "--samples", 2, "--out", tmp_path / "x.csv") == 2
         assert "ARNAGG_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, args", [
+        ("trace", ["--size", 5]),
+        ("sweep", ["--sizes", "1..5"]),
+    ], ids=["trace", "sweep"])
+    def test_descending_ks_exits_2_before_the_chain_loads(self, tmp_path, monkeypatch, capsys,
+                                                          command, args):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the chain was loaded before --ks was checked")
+
+        save_matrix(random_chain(10, 1.0, seed=1), tmp_path / "p.mtx")
+        monkeypatch.setattr(cli, "load_matrix", unexpected)
+        assert run(command, "--input", tmp_path / "p.mtx", "--p0", "random", *args,
+                   "--ks", "5,1", "--out", tmp_path / "x.csv") == 2
+        assert "k list must be strictly ascending" in capsys.readouterr().err
+
     @pytest.mark.parametrize("chain, p0", [
         ([[0, 1], [0, 1]], [0.36, 0.64]),
         ([[0, 1, 0], [0, 1, 0], [0, 0, 1]], [0.36, 0.64, 0.0]),
@@ -470,8 +485,9 @@ class TestSweep:
         assert run("sweep", "--gen", "random:n=30,density=0.3", "--p0", "random",
                    "--sizes", "2,5,9,12", "--ks", "10,40", "--samples", 2, "--seed", 4,
                    "--out", out) == 0
-        # Per sample: 12 Krylov steps and one 40-step walk.
-        assert len(calls) == 2 * (12 + 40)
+        # Per sample: 12 Krylov steps, 12 rows of W = Q P for the defect
+        # rows, and one 40-step walk.
+        assert len(calls) == 2 * (12 + 12 + 40)
 
     def test_wall_time_is_amortised_over_sizes(self, tmp_path):
         out = tmp_path / "sw.csv"
@@ -479,6 +495,27 @@ class TestSweep:
                    "--ks", "5", "--seed", 9, "--out", out) == 0
         walls = {r[-1] for r in read_csv(out)[1]}
         assert len(walls) == 1 and float(walls.pop()) > 0.0
+
+    def test_dense_chain_rows_match_per_size_error_traces(self, tmp_path):
+        # TestRunnerMatchesLibrary loads its chains from .mtx, as CSR; a
+        # --gen random chain stays dense.
+        sizes, ks = [2, 5, 9, 12], [0, 10, 40]
+        out = tmp_path / "sw.csv"
+        assert run("sweep", "--gen", "random:n=30,density=0.5", "--p0", "random",
+                   "--sizes", ",".join(map(str, sizes)), "--ks", ",".join(map(str, ks)),
+                   "--seed", 4, "--out", out) == 0
+        p = random_chain(30, density=0.5, seed=4)
+        p0 = Distribution.random(30, seed=[4, 0])
+        assert not p.is_sparse
+        for j, row in zip(sizes, read_csv(out)[1], strict=True):
+            try:
+                agg = pipeline_schur(p, p0, j)
+            except ComplexStationary:
+                agg = pipeline_naive(p, p0, j)
+            trace = error_trace(p, p0, agg, ks)
+            criterion = np.nan if trace.criterion is None else trace.criterion
+            assert row[:-1] == [str(j)] + [cli.FLOAT_FORMAT % x for x in (
+                trace.static_error, criterion, *trace.errors)]
 
     def test_byte_identical_apart_from_wall_time(self, tmp_path):
         outs = []
@@ -630,6 +667,16 @@ class TestBench:
         assert run("bench", "--sizes", "4", "--n", 20, "--trace-k", -1,
                    "--out", tmp_path / "x.csv") == 2
         assert "trace-k" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_descending_sizes_exit_2_before_the_chain_is_built(self, tmp_path, monkeypatch,
+                                                                capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the chain was built before --sizes was checked")
+
+        monkeypatch.setattr(cli, "random_chain", unexpected)
+        assert run("bench", "--sizes", "4,2", "--out", tmp_path / "x.csv") == 2
+        assert "size list must be strictly ascending" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_p0_file_exits_2(self, tmp_path):
