@@ -7,9 +7,11 @@ current aggregated vector's weighted absolute row sums of the exactness
 defect, the general bound adds the geometric majorant
 ``||pi_0||_1 * ||step_matrix||_inf^i`` of that vector's 1-norm times the
 defect's largest row sum.  Only the absolute row sums of the exactness
-defect ``step_matrix @ A - A @ P`` are kept, and no j x n defect is formed:
-a Krylov step matrix is Hessenberg, so each defect row is one short
-product shared by every larger leading block (see ``_defect_row_sums``).
+defect ``step_matrix @ A - A @ P`` are kept, and for a Krylov aggregation
+they are read off the Arnoldi relation ``H Q + E = Q P``: every row but the
+last is zero, the last is the aggregation's ``residual`` (see
+``_defect_rows``).  So a trace forms no j x n product, and its criterion is
+the dynamic pipeline's, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from .arnoldi import (
     Aggregation,
     ArnoldiBuilder,
-    ArnoldiFactorization,
     arnoldi_iterate,
     build_aggregation,
 )
@@ -182,8 +183,10 @@ def error_trace(p_mat: StochasticMatrix, p0, agg: Aggregation, ks,
 
     ``ks`` must be ascending step counts.  The chain is walked once, to
     ``ks[-1]``; the aggregated vector takes the same steps next to it.  Of
-    the exactness defect only the absolute row sums are computed, row by
-    row (``_defect_row_sums``), never the j x n matrix.  The initial error
+    the exactness defect only the absolute row sums are used, read off the
+    Arnoldi relation for a Krylov aggregation (``_defect_rows``), so
+    ``static_error``, ``criterion`` and the bounds agree with the
+    materialised defect up to the relation residual.  The initial error
     feeding both bounds is measured, not assumed zero, which doubles as a
     check of the aggregated start vector.  This is the one-aggregation case
     of ``_error_traces``.
@@ -196,14 +199,12 @@ def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
                   bounds: bool = True) -> list[ErrorTrace]:
     """``[error_trace(p_mat, p0, agg, ks, policy) for agg in aggs]`` on one chain walk.
 
-    Every aggregation must be a leading block of the largest one, as the
-    snapshots of one ``ArnoldiBuilder`` are: step matrix ``H[:j, :j]`` and
-    disaggregation ``Q[:j]``.  Their defect rows are then computed in one
-    pass, and an aggregation that is not such a block raises InputError.
-    At each checkpoint every aggregation's walk catches up with the chain,
-    so each trace takes the same steps, in the same order, as on its own.
-    With ``bounds=False`` no bound is accumulated and both bound arrays
-    read nan.
+    Each aggregation reads its own defect rows (``_defect_rows``), which
+    for a Krylov one cost no chain product, so the walk is the only work
+    on the chain.  At each checkpoint every aggregation's walk catches up
+    with the chain, so each trace takes the same steps, in the same order,
+    as on its own.  With ``bounds=False`` no bound is accumulated and both
+    bound arrays read nan.
     """
     ks = [int(k) for k in ks]
     if not ks:
@@ -216,17 +217,8 @@ def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
     if not np.isfinite(p).all():
         raise InputError("start vector has non-finite entries")
 
-    largest = max(aggs, key=lambda agg: agg.size)
-    for agg in aggs:
-        j = agg.size
-        if not (agg is largest
-                or np.array_equal(agg.step_matrix, largest.step_matrix[:j, :j])
-                and np.array_equal(agg.disaggregation, largest.disaggregation[:j])):
-            raise InputError(f"the size-{j} aggregation is not a leading block of "
-                             f"the size-{largest.size} one")
-    rows = _defect_row_sums(p_mat, largest, [agg.size for agg in aggs])
-    walks = [_AggregatedWalk(p, agg, defect_rows, len(ks), policy, bounds)
-             for agg, defect_rows in zip(aggs, rows)]
+    walks = [_AggregatedWalk(p, agg, _defect_rows(p_mat, agg), len(ks), policy, bounds)
+             for agg in aggs]
     done = 0
     # Overflow is not warned about: a bound or error past the float range
     # reads inf, and ``record`` rejects an approximation that is not finite.
@@ -239,35 +231,22 @@ def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
     return [walk.result(ks) for walk in walks]
 
 
-def _defect_row_sums(p_mat: StochasticMatrix, agg: Aggregation,
-                     sizes) -> list[np.ndarray]:
-    """Absolute row sums of the exactness defects of ``agg``'s leading blocks.
+def _defect_rows(p_mat: StochasticMatrix, agg: Aggregation) -> np.ndarray:
+    """Absolute row sums of ``agg``'s exactness defect ``H Q - Q P``.
 
-    Entry ``[s][i]`` is the 1-norm of row ``i`` of the defect of the
-    size-``sizes[s]`` block, the equal of
-    ``np.abs(exactness_defect(p_mat, block)).sum(axis=1)`` up to rounding.
-    With ``H``, ``Q`` the step matrix and disaggregation of ``agg`` and
-    ``W = Q P``, row ``i`` of the size-j defect is
-    ``H[i, :m] @ Q[:m] - W[i]``, where ``m = min(i + 2, j)`` for a
-    Hessenberg ``H`` (zero above its first superdiagonal), as Krylov step
-    matrices are; otherwise ``m = j``.  So a Hessenberg row is shared by
-    every size above ``i + 1``, and each size adds only its last row.
-    Each distinct row is summed once, and ``W`` is built row by row with
-    ``vec_mul``, the walk's own kernel, so a size's sums have the same bits
-    whichever other sizes share the call.
+    For a Krylov aggregation the Arnoldi relation ``H Q + E = Q P`` makes
+    the defect ``-E`` up to rounding, and ``E`` is zero except for its last
+    row, ``residual_norm * residual_direction`` (Saad, Iterative Methods
+    for Sparse Linear Systems, section 6.3).  So every row sum is 0 but the
+    last, ``agg.residual``, and each differs from the materialised one by
+    at most ``relation_residual(fact, P)``.  An aggregation built by hand
+    (``residual`` None) gets the materialised row sums.
     """
-    h, q = agg.step_matrix, agg.disaggregation
-    w = [p_mat.vec_mul(row) for row in q[:max(sizes)]]
-    hessenberg = not np.triu(h, 2).any()
-    sums = {}
-
-    def row_sum(i: int, m: int) -> float:
-        if (i, m) not in sums:
-            sums[i, m] = float(np.abs(h[i, :m] @ q[:m] - w[i]).sum())
-        return sums[i, m]
-
-    return [np.array([row_sum(i, min(i + 2, j) if hessenberg else j) for i in range(j)])
-            for j in sizes]
+    if agg.residual is None:
+        return np.abs(exactness_defect(p_mat, agg)).sum(axis=1)
+    rows = np.zeros(agg.size)
+    rows[-1] = agg.residual
+    return rows
 
 
 class _AggregatedWalk:
@@ -275,8 +254,10 @@ class _AggregatedWalk:
 
     Each step allocates the next aggregated vector; the walk starts from
     ``agg.initial`` itself, which it never writes to.  ``defect_rows``
-    holds the absolute row sums of the exactness defect.  Without
-    ``bounds`` the walk only steps, and the bound arrays stay nan.
+    holds the absolute row sums of the exactness defect, as
+    ``_defect_rows`` gives them; ``static_error``, the criterion and both
+    bounds are read off them.  Without ``bounds`` the walk only steps, and
+    the bound arrays stay nan.
     """
 
     def __init__(self, p0: np.ndarray, agg: Aggregation, defect_rows: np.ndarray,
@@ -350,32 +331,12 @@ def pipeline_schur(p_mat: StochasticMatrix, p0, size: int,
     return aggregated_stationary(pipeline_naive(p_mat, p0, size, method=method))
 
 
-def _relation_criterion(fact: ArnoldiFactorization, stationary: np.ndarray,
-                        direction_l1: float | None = None) -> float:
-    """The convergence criterion of ``fact``'s aggregation, in O(n).
-
-    The Arnoldi relation ``H Q + E = Q P`` makes the exactness defect
-    ``H Q - Q P`` equal to ``-E`` up to rounding, and ``E`` is zero except
-    for its last row, ``residual_norm * residual_direction``.  The
-    stationary-weighted defect ``sum_i |pi_i| * ||(H Q - Q P)_i||_1`` is
-    therefore ``|pi_j| * residual_norm * ||residual_direction||_1``
-    (Saad's Arnoldi residual estimate), and 0 once the basis deflated.
-    It differs from ``convergence_criterion`` by at most
-    ``||pi||_1 * relation_residual(fact, P)``.  A caller that already
-    summed ``|residual_direction|`` passes the sum as ``direction_l1``.
-    """
-    if fact.residual_direction is None:
-        return 0.0
-    if direction_l1 is None:
-        direction_l1 = np.abs(fact.residual_direction).sum()
-    return float(abs(stationary[-1]) * fact.residual_norm * direction_l1)
-
-
 def _estimated_criterion(hessenberg: np.ndarray, residual: float, x: np.ndarray,
                          row_sums: np.ndarray) -> float | None:
-    """The relation criterion after two inverse-iteration steps on ``H^T - I`` from ``x``.
+    """The criterion after two inverse-iteration steps on ``H^T - I`` from ``x``.
 
-    ``residual`` is ``residual_norm * ||residual_direction||_1``.  Shift 1
+    ``residual`` is ``residual_norm * ||residual_direction||_1``, the one
+    nonzero defect row sum (``_defect_rows``).  Shift 1
     is the known eigenvalue (Golub & Van Loan, section 7.6).  The iterate
     ``z`` is scaled by ``|z @ row_sums|``, where ``row_sums`` holds the row
     sums of the basis: that is the sum of the image ``z Q``, its 1-norm
@@ -412,7 +373,8 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     The criterion is evaluated every ``step_size`` expansions, at
     deflation, and at ``max_size``, on the stationary vector of the current
     step matrix (LAPACK ``geev``) and read off the Arnoldi relation in O(n)
-    (see ``_relation_criterion``); the first size passing
+    (see ``_defect_rows``), the expression a trace of the same aggregation
+    reads, so the two agree bit for bit; the first size passing
     ``criterion <= epsilon`` wins, else the final size is returned.
 
     ``geev`` runs only where a size can stop: where the warm-started
@@ -425,7 +387,7 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     NCD chain ``geev`` then runs 1 to 4 times per run, not at about 39
     checked sizes.  The estimate reads the builder's step matrix, the
     residual norm and one sum of ``|residual_direction|`` per checked size,
-    which the criterion reuses, and each basis row is summed once per run;
+    and each basis row is summed once per run;
     a skipped size takes no snapshot and no j x n product.  The result
     carries its stationary vector and criterion, and its arrays are
     read-only views of the builder's storage.
@@ -449,13 +411,11 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
         j = builder.size
         if j % step_size and not builder.done:
             continue
-        direction = builder.residual_direction
-        direction_l1 = None if direction is None else np.abs(direction).sum()
         if not builder.done:
             row_sums[summed:j] = builder.basis[summed:].sum(axis=1)
             summed = j
-            estimate = _estimated_criterion(builder.hessenberg,
-                                            builder.residual_norm * direction_l1,
+            residual = builder.residual_norm * np.abs(builder.residual_direction).sum()
+            estimate = _estimated_criterion(builder.hessenberg, residual,
                                             warm[:j], row_sums[:j])
             # A size whose estimate is above the margin cannot stop the loop.
             if estimate is not None and estimate > _GEEV_MARGIN * epsilon:
@@ -472,7 +432,7 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
                             f"has orthogonality loss {loss:.3e}",)
                 raise
             continue
-        crit = _relation_criterion(fact, agg.stationary, direction_l1)
+        crit = float(np.abs(agg.stationary) @ _defect_rows(p_mat, agg))
         agg = replace(agg, criterion=crit)
         if crit <= epsilon or builder.done:
             return agg

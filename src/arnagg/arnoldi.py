@@ -56,9 +56,15 @@ class Aggregation:
     closest to one, scaled so that its disaggregated image has unit 1-norm.
     No stationary vector is attached when that eigenvalue is complex.
     ``criterion`` carries the convergence-criterion value for aggregations
-    built by the dynamic pipeline.  ``build_aggregation`` aliases the
-    factorization's arrays, so on a snapshot ``step_matrix`` and
-    ``disaggregation`` are read-only views of the builder's storage.
+    built by the dynamic pipeline.  ``residual`` is the 1-norm of the last
+    row of ``E`` in the Arnoldi relation, ``residual_norm *
+    ||residual_direction||_1`` (0 once the basis deflated): the one row of
+    the exactness defect that is not zero in exact arithmetic.  It is None
+    for an aggregation built by hand, whose defect has no such structure; a
+    copy with another step matrix or disaggregation must reset it to None.
+    ``build_aggregation`` aliases the factorization's arrays, so on a
+    snapshot ``step_matrix`` and ``disaggregation`` are read-only views of
+    the builder's storage.
     """
 
     step_matrix: np.ndarray
@@ -66,6 +72,7 @@ class Aggregation:
     initial: np.ndarray
     stationary: np.ndarray | None = None
     criterion: float | None = None
+    residual: float | None = None
 
     @property
     def size(self) -> int:
@@ -190,15 +197,20 @@ def build_aggregation(fact: ArnoldiFactorization, p0) -> Aggregation:
     The step matrix and disaggregation map are the factorization's arrays,
     not copies.  The aggregated start vector puts the whole 2-norm of
     ``p0`` on the first coordinate, which makes the disaggregated start
-    exact.
+    exact.  ``residual`` is read off the factorization's residual, one sum
+    over ``residual_direction``.
     """
     v = as_vector(p0)
     initial = np.zeros(fact.size)
     initial[0] = float(np.linalg.norm(v))
+    residual = 0.0
+    if fact.residual_direction is not None:
+        residual = float(fact.residual_norm * np.abs(fact.residual_direction).sum())
     return Aggregation(
         step_matrix=fact.hessenberg,
         disaggregation=fact.basis,
         initial=initial,
+        residual=residual,
     )
 
 

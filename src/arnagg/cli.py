@@ -9,10 +9,10 @@ byte-identical files apart from wall-time columns.  Exit codes: 0 success,
 ``trace`` and ``sweep`` run one job per sample on a thread pool;
 ARNAGG_THREADS caps how many samples run concurrently.  A sweep sample grows
 one Krylov factorization to its largest size, snapshots it at every size and
-walks the chain once for all of them; the sizes share their defect rows, and
-no bound is summed, since a sweep row has no bound column.  A sweep row's
-wall_time is its sample's wall time divided by the number of sizes, so a
-sample's rows sum to its wall time.
+walks the chain once for all of them; each size reads its defect rows off the
+Arnoldi relation, with no chain product, and no bound is summed, since a
+sweep row has no bound column.  A sweep row's wall_time is its sample's wall
+time divided by the number of sizes, so a sample's rows sum to its wall time.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ its Krylov loop before ``ArnoldiBuilder.expand`` orthogonalized in place,
 ``stream_parse_matrixmarket``, its Matrix Market reader before entries
 went through ``np.loadtxt``, ``stationary_by_phase_alignment``, its
 stationary extraction before LAPACK's real/complex verdict decided alone,
-and ``defect_rows_by_gemm``, its defect row sums before rows were shared
-across sizes; each is kept as the reference for the change that replaced
-it.
+and ``defect_rows_by_gemm``, its defect row sums before they were read
+off the Arnoldi relation; each is kept as the reference for the change
+that replaced it.
 ``orthonormalize_rows`` is a test harness, not a reference: it runs the
 library's ``orthogonalize_step`` over a sequence of vectors.  Matrix
 validation is checked against ``dense_validation_verdict``, plain loops
@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 
-from arnagg.aggregate import _relation_criterion, exactness_defect
+from arnagg.aggregate import _defect_rows, exactness_defect
 from arnagg.arnoldi import DEFLATION_TOL, ArnoldiBuilder, build_aggregation
 from arnagg.errors import (
     ComplexStationary,
@@ -159,6 +159,7 @@ def dynamic_geev_every_size(p_mat, p0, max_size, epsilon, step_size=1, method=CG
     The pipeline skips ``geev`` at sizes whose inverse-iteration criterion
     estimate is far above epsilon; its stop size, stationary vector,
     criterion and ``ComplexStationary`` must equal this loop's bit for bit.
+    The criterion is the expression every trace reads.
     """
     builder = ArnoldiBuilder(p_mat, p0, max_size, method=method)
     while True:
@@ -174,7 +175,7 @@ def dynamic_geev_every_size(p_mat, p0, max_size, epsilon, step_size=1, method=CG
                                 f"has orthogonality loss {loss:.3e}",)
                     raise
                 continue
-            crit = _relation_criterion(fact, agg.stationary)
+            crit = float(np.abs(agg.stationary) @ _defect_rows(p_mat, agg))
             if crit <= epsilon or builder.done:
                 return replace(agg, criterion=crit)
 
@@ -183,7 +184,8 @@ def defect_rows_by_gemm(p_mat, agg) -> np.ndarray:
     """Absolute row sums of ``agg``'s exactness defect, materialised per size.
 
     ``_error_traces`` took them this way, one j x n defect per aggregation,
-    before each row was computed once and shared by every size.
+    before it read them off the Arnoldi relation; it still does for an
+    aggregation built by hand.
     """
     return np.abs(exactness_defect(p_mat, agg)).sum(axis=1)
 

@@ -11,10 +11,9 @@ from arnagg.aggregate import (
     NEVER,
     ErrorTrace,
     NormalizationPolicy,
-    _defect_row_sums,
+    _defect_rows,
     _error_traces,
     _estimated_criterion,
-    _relation_criterion,
     aggregated_step,
     approximate,
     convergence_criterion,
@@ -440,7 +439,7 @@ class TestErrorTraces:
                 assert getattr(g, name) == getattr(e, name), name
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
-    def test_defect_rows_cost_one_vec_mul_per_basis_row(self, monkeypatch, sparse):
+    def test_defect_rows_cost_no_chain_product(self, monkeypatch, sparse):
         p = random_chain(40, 0.3, seed=81, sparse=sparse)
         p0 = Distribution.random(40, seed=82)
         builder = ArnoldiBuilder(p, p0, 9)
@@ -458,13 +457,13 @@ class TestErrorTraces:
         for name in ("vec_mul", "mat_mul"):
             monkeypatch.setattr(StochasticMatrix, name, counting(name))
         _error_traces(p, p0, aggs, [0, 5])
-        # Five walk steps plus one W = Q P row per basis row of the largest size.
-        assert calls == ["vec_mul"] * (5 + 9)
+        # Five walk steps; the defect rows are read off the Arnoldi relation.
+        assert calls == ["vec_mul"] * 5
 
 
 @st.composite
 def nested_block_cases(draw):
-    """A chain, a Krylov aggregation of it and some sizes of its leading blocks."""
+    """A chain, a start vector, nested Krylov factorizations of it and step counts."""
     kind = draw(st.sampled_from(["dense", "csr", "ncd", "deflating"]))
     seed = draw(st.integers(0, 2**32 - 1))
     if kind == "ncd":
@@ -482,9 +481,16 @@ def nested_block_cases(draw):
         p = random_chain(n, draw(st.floats(0.05, 1.0)), seed=seed, sparse=kind == "csr")
         p0 = Distribution.random(n, seed=seed + 1)
     method = OrthMethod(draw(st.sampled_from(VARIANTS)))
-    agg = pipeline_naive(p, p0, draw(st.integers(1, p.n)), method=method)
-    sizes = sorted(draw(st.sets(st.integers(1, agg.size), min_size=1, max_size=6)))
-    return p, agg, sizes
+    sizes = sorted(draw(st.sets(st.integers(1, p.n), min_size=1, max_size=6)))
+    # Snapshots of one builder; a size past a deflation gets the deflated one.
+    builder = ArnoldiBuilder(p, p0, sizes[-1], method=method)
+    facts = []
+    for j in sizes:
+        while builder.size < j and not builder.done:
+            builder.expand()
+        facts.append(builder.snapshot())
+    ks = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=4)))
+    return p, p0, facts, ks
 
 
 def leading_block(agg, j):
@@ -492,36 +498,56 @@ def leading_block(agg, j):
                        disaggregation=agg.disaggregation[:j], initial=agg.initial[:j])
 
 
-class TestDefectRowSums:
-    # Both forms sum the same terms in other orders, so they differ by
-    # rounding only.  On these chains (at most 40 states) a row sum stays of
-    # order one (3.2 at most over the examples) and gathers a few hundred
-    # roundings of at most 2**-53 each, about 1e-13; 1e-12 leaves a margin.
-    ATOL = 1e-12
+def step_sums(agg, ks, weight):
+    """``sum(weight(pi_i, i) for i < k)`` for each k in ``ks``, along the aggregated walk."""
+    pi, total, out = agg.initial, 0.0, []
+    for i in range(ks[-1] + 1):
+        if i in ks:
+            out.append(total)
+        total += weight(pi, i)
+        pi = pi @ agg.step_matrix
+    return np.array(out)
 
+
+class TestDefectRows:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(nested_block_cases())
-    def test_shared_rows_match_the_gemm_defect_alone_and_alongside(self, case):
-        p, agg, sizes = case
-        together = _defect_row_sums(p, agg, sizes)
-        for j, rows in zip(sizes, together):
-            block = leading_block(agg, j)
-            assert np.abs(rows - defect_rows_by_gemm(p, block)).max() <= self.ATOL
-            assert rows.tobytes() == _defect_row_sums(p, block, [j])[0].tobytes()
-
-    def test_non_hessenberg_step_matrix_shares_no_row(self):
-        p = random_chain(6, 1.0, seed=3)
-        agg = replace(pipeline_naive(p, Distribution.random(6, seed=4), 4),
-                      step_matrix=np.full((4, 4), 0.25))
-        for j, rows in zip([2, 4], _defect_row_sums(p, agg, [2, 4])):
-            assert np.abs(rows - defect_rows_by_gemm(p, leading_block(agg, j))).max() \
-                <= self.ATOL
-
-    def test_traces_need_leading_blocks_of_the_largest(self):
-        p = random_chain(12, 0.5, seed=5)
-        aggs = [pipeline_naive(p, Distribution.random(12, seed=s), 4) for s in (6, 7)]
-        with pytest.raises(InputError, match="not a leading block"):
-            _error_traces(p, Distribution.random(12, seed=6), aggs, [3])
+    def test_relation_rows_match_the_gemm_defect(self, case):
+        p, p0, facts, ks = case
+        largest = build_aggregation(facts[-1], p0)
+        for fact in facts:
+            agg = build_aggregation(fact, p0)
+            try:
+                agg = aggregated_stationary(agg)
+            except ComplexStationary:
+                pass
+            # An aggregation built by hand reads exactly the GEMM rows.
+            by_hand = replace(agg, residual=None)
+            for hand in (by_hand, leading_block(largest, agg.size)):
+                assert _defect_rows(p, hand).tobytes() == defect_rows_by_gemm(p, hand).tobytes()
+            got, want = error_trace(p, p0, agg, ks), error_trace(p, p0, by_hand, ks)
+            assert got.errors.tobytes() == want.errors.tobytes()
+            # Each relation row differs from its GEMM row by at most the
+            # relation residual, so every quantity moves by at most the
+            # 1-norm of its weights times it: ||pi_i||_1 summed over the
+            # steps taken for the specific bound, the majorant of that
+            # 1-norm for the general one.
+            rr = relation_residual(fact, p)
+            inf_step = inf_norm(agg.step_matrix)
+            mass = float(np.abs(agg.initial).sum())
+            slacks = {
+                "static_error": rr,
+                "bound_specific": step_sums(agg, ks, lambda pi, i: np.abs(pi).sum()) * rr,
+                "bound_general": step_sums(agg, ks, lambda pi, i: mass * inf_step ** i) * rr,
+            }
+            if agg.stationary is not None:
+                slacks["criterion"] = np.abs(agg.stationary).sum() * rr
+            else:
+                assert got.criterion is None and want.criterion is None
+            for name, slack in slacks.items():
+                g, w = getattr(got, name), getattr(want, name)
+                ulps = 4 * np.finfo(float).eps * np.maximum(np.abs(g), np.abs(w))
+                assert np.all(np.abs(g - w) <= slack + ulps), name
 
 
 class TestBoundChainProperty:
@@ -611,7 +637,7 @@ class TestRelationCriterion:
                     agg = aggregated_stationary(build_aggregation(fact, p0))
                 except ComplexStationary:
                     continue
-                closed = _relation_criterion(fact, agg.stationary)
+                closed = float(np.abs(agg.stationary) @ _defect_rows(p, agg))
                 materialised = convergence_criterion(p, agg)
                 slack = np.abs(agg.stationary).sum() * relation_residual(fact, p)
                 ulps = 4 * np.finfo(float).eps * max(closed, materialised)
@@ -790,11 +816,14 @@ class TestCriterionEstimate:
     def test_estimate_is_the_criterion_of_the_iterate(self):
         # Left eigenvalues 0.973 and 0.627: two steps from e_1 nearly converge.
         fact = self.factorization([[0.9, 0.1], [0.2, 0.7]])
+        agg = aggregated_stationary(build_aggregation(fact, [1.0, 0.0]))
         warm = np.array([1.0, 0.0])
-        estimate = _estimated_criterion(fact.hessenberg, 1.0, warm, fact.basis.sum(axis=1))
-        pi = aggregated_stationary(build_aggregation(fact, [1.0, 0.0])).stationary
-        assert abs(warm @ pi) / np.linalg.norm(pi) > 0.999
-        assert estimate == _relation_criterion(fact, warm / np.abs(warm).sum())
+        estimate = _estimated_criterion(fact.hessenberg, agg.residual, warm,
+                                        fact.basis.sum(axis=1))
+        assert abs(warm @ agg.stationary) / np.linalg.norm(agg.stationary) > 0.999
+        iterate = np.abs(warm / np.abs(warm).sum())
+        # A Krylov aggregation's defect rows read no chain.
+        assert estimate == float(iterate @ _defect_rows(None, agg))
 
     def test_estimate_reads_no_basis_row(self):
         # Scaling by the row sums needs only H, the residual and the sums.
@@ -854,6 +883,22 @@ class TestPipelineDynamic:
         fact = arnoldi_iterate(p, p0, agg.size)
         slack = np.abs(agg.stationary).sum() * relation_residual(fact, p)
         assert abs(agg.criterion - convergence_criterion(p, agg)) <= slack + 1e-15
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_trace_reads_the_dynamic_criterion(self, variant):
+        method = OrthMethod(variant)
+        compared = 0
+        for c in range(3):
+            p = random_ncd(6, 10, 1e-4, seed=[7, c])
+            p0 = Distribution.random(p.n, seed=[8, c])
+            try:
+                d = pipeline_dynamic(p, p0, p.n, 1e-8, method=method)
+            except ComplexStationary:
+                continue  # plain CGS on chains 0 and 1
+            trace = error_trace(p, p0, pipeline_schur(p, p0, d.size, method=method), [1])
+            assert trace.criterion == d.criterion
+            compared += 1
+        assert compared >= 1
 
     def test_final_complex_size_names_the_orthogonality_loss(self):
         # Plain CGS loses orthogonality completely on this chain, and the
