@@ -6,6 +6,16 @@ floats at 17 significant digits, so identical configuration and seed give
 byte-identical files apart from wall-time columns.  Exit codes: 0 success,
 2 configuration or validation problems, 3 numerical failures.
 
+Every value that needs no chain is checked by the argparse type of its flag:
+numbers and their ranges, the ``--ks`` and ``--sizes`` lists, the ``--p0``
+grammar (a ``file:`` start is read there, once), and the directory of
+``--out``.  Then, still before any chain is loaded or built, a command checks
+the rules that join flags (``--samples`` above 1 needs ``--p0 random``;
+``--pipeline dynamic`` needs ``--epsilon``) and ARNAGG_THREADS.  Each such
+error names its flag and exits 2.  Only checks that need the chain run after
+it loads: a size above n, a ``point:`` index >= n and a start vector of the
+wrong length.  A MemoryError, a size too large for the machine, also exits 2.
+
 ``trace`` and ``sweep`` run one job per sample on a thread pool;
 ARNAGG_THREADS caps how many samples run concurrently.  A sweep sample grows
 one Krylov factorization to its largest size, snapshots it at every size and
@@ -23,13 +33,10 @@ import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aggregate import (
-    NEVER,
-    NormalizationPolicy,
     _error_traces,
     error_trace,
     parse_policy,
@@ -51,7 +58,7 @@ from .mchain import (
     uniformize,
 )
 from .models import counterexample, random_chain, random_ncd
-from .orthonorm import CGSIR, VARIANTS, OrthMethod, parse_method
+from .orthonorm import VARIANTS, parse_method
 from .schur import aggregated_stationary
 
 EXIT_OK = 0
@@ -63,42 +70,95 @@ POLICY_CHOICES = ("never", "cond", "always")
 TRACE_CSV_HEADER = "k,e_k,bound_specific,bound_general"
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: numpy's generators take no negative seed."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
-    return int(text)
+# The argparse types below raise InputError, not ArgumentTypeError, so that
+# parse_args passes it to ``main``, which prints it and returns exit 2.
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    """Expand '0,5,10' / '1..30' / '1..30..5' (and mixes) into an int list."""
-    out: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ".." in token:
-            parts = token.split("..")
-            if len(parts) not in (2, 3):
-                raise InputError(f"bad {what} range {token!r}")
+def _int(flag: str, low: int):
+    """The argparse type of ``flag``: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise InputError(f"{flag} must be an integer, got {text!r}") from None
+        if value < low:
+            raise InputError(f"{flag} must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _positive(flag: str):
+    """The argparse type of ``flag``: a positive, finite float."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise InputError(f"{flag} must be a number, got {text!r}") from None
+        if not 0.0 < value < np.inf:
+            raise InputError(f"{flag} must be positive and finite, got {text}")
+        return value
+    return parse
+
+
+def _int_list(flag: str, low: int):
+    """The argparse type of ``flag``: a strictly ascending list of integers >= low.
+
+    Tokens are comma-separated values and ranges: '0,5,10', '1..30',
+    '1..30..5', or a mix of them.
+    """
+    def parse(text: str) -> list[int]:
+        out: list[int] = []
+        for token in filter(None, map(str.strip, text.split(","))):
             try:
-                a, b = int(parts[0]), int(parts[1])
-                step = int(parts[2]) if len(parts) == 3 else 1
+                ends = [int(part) for part in token.split("..")]
             except ValueError:
-                raise InputError(f"bad {what} range {token!r}") from None
-            if step < 1 or b < a:
-                raise InputError(f"bad {what} range {token!r}")
-            out.extend(range(a, b + 1, step))
-        else:
-            try:
-                out.append(int(token))
-            except ValueError:
-                raise InputError(f"bad {what} value {token!r}") from None
-    if not out:
-        raise InputError(f"empty {what} list")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise InputError(f"{what} list must be strictly ascending: {out}")
-    return out
+                ends = []
+            if len(ends) == 1:
+                ends *= 2
+            if len(ends) == 2:
+                ends.append(1)
+            if len(ends) != 3 or ends[2] < 1 or ends[1] < ends[0]:
+                raise InputError(f"{flag}: bad value or range {token!r}")
+            out.extend(range(ends[0], ends[1] + 1, ends[2]))
+        if not out or any(b <= a for a, b in zip(out, out[1:])):
+            raise InputError(f"{flag} must be a nonempty, strictly ascending list, got {text!r}")
+        if out[0] < low:
+            raise InputError(f"{flag} values must be >= {low}, got {out[0]}")
+        return out
+    return parse
+
+
+def _p0(text: str):
+    """The argparse type of ``--p0``: (kind, point index or file start or None)."""
+    kind, _, rest = text.partition(":")
+    if text in ("uniform", "random"):
+        return text, None
+    if kind == "point":
+        try:
+            index = int(rest)
+        except ValueError:
+            index = -1
+        if index < 0:
+            raise InputError(f"--p0: bad point index in {text!r}")
+        return kind, index
+    if kind == "file":
+        try:
+            return kind, load_distribution(rest)
+        except (InputError, OSError) as exc:
+            raise InputError(f"--p0 {text}: {exc}") from None
+    raise InputError(f"--p0: unknown start {text!r} (file:PATH|uniform|point:I|random)")
+
+
+def _out(text: str) -> str:
+    """The argparse type of ``--out``: a path or prefix whose directory exists."""
+    folder = os.path.dirname(text)
+    if folder and not os.path.isdir(folder):
+        raise InputError(f"--out {text}: no directory {folder!r}")
+    return text
+
+
+# numpy's generators take no negative seed.
+_seed = _int("--seed", 0)
 
 
 def _bool(text: str) -> bool:
@@ -161,92 +221,32 @@ def _parse_gen_spec(spec: str, seed) -> StochasticMatrix:
 
 
 def _load_chain(args) -> StochasticMatrix:
-    if getattr(args, "gen", None):
+    if args.gen:
         return _parse_gen_spec(args.gen, args.seed)
-    if getattr(args, "input", None):
+    if args.input:
         return load_matrix(args.input, kind="stochastic")
     raise InputError("need --input FILE or --gen SPEC")
 
 
-def _make_p0(source: str, n: int, rng_key) -> Distribution:
-    if source == "uniform":
+def _start(p0, n: int, seed) -> Distribution:
+    """The start distribution of a parsed ``--p0`` on an n-state chain."""
+    kind, arg = p0
+    if kind == "uniform":
         return Distribution.uniform(n)
-    if source == "random":
-        return Distribution.random(n, seed=rng_key)
-    if source.startswith("point:"):
-        try:
-            idx = int(source.split(":", 1)[1])
-        except ValueError:
-            raise InputError(f"bad point index in p0 source {source!r}") from None
-        if not 0 <= idx < n:
-            raise InputError(f"point index {idx} outside 0..{n - 1}")
-        return Distribution.point(n, idx)
-    if source.startswith("file:"):
-        return load_distribution(source.split(":", 1)[1])
-    raise InputError(f"unknown p0 source {source!r} (file:PATH|uniform|point:I|random)")
-
-
-def _check_sizes(sizes: list[int], n: int) -> None:
-    for j in sizes:
-        if not 1 <= j <= n:
-            raise InputError(f"size {j} outside 1..{n}")
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one experiment family."""
-
-    chain: StochasticMatrix
-    p0_source: str
-    method: OrthMethod = CGSIR
-    policy: NormalizationPolicy = NEVER
-    sizes: list[int] = field(default_factory=list)
-    ks: list[int] = field(default_factory=list)
-    samples: int = 1
-    seed: int = 0
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise InputError(f"samples must be >= 1, got {self.samples}")
-        _check_sizes(self.sizes, self.chain.n)
-        if self.samples > 1 and self.p0_source != "random":
-            raise InputError("--samples > 1 requires --p0 random")
-
-    def p0_for_sample(self, i: int) -> Distribution:
-        if self.p0_source == "random":
-            return _make_p0("random", self.chain.n, [self.seed, i])
-        return _make_p0(self.p0_source, self.chain.n, self.seed)
-
-
-def _run_config(args, sizes: list[int]) -> RunConfig:
-    # A bad ARNAGG_THREADS or --ks fails before the chain loads.
-    _workers(args.samples)
-    ks = _parse_int_list(args.ks, "k")
-    return RunConfig(
-        chain=_load_chain(args),
-        p0_source=args.p0,
-        method=parse_method(args.method),
-        policy=parse_policy(args.policy),
-        sizes=sizes,
-        ks=ks,
-        samples=args.samples,
-        seed=args.seed,
-        out=args.out,
-    )
+    if kind == "random":
+        return Distribution.random(n, seed=seed)
+    if kind == "point":
+        if arg >= n:
+            raise InputError(f"--p0 point index {arg} outside 0..{n - 1}")
+        return Distribution.point(n, arg)
+    return arg
 
 
 def _workers(njobs: int) -> int:
     cap = os.environ.get("ARNAGG_THREADS")
     if not cap:
         return max(1, min(njobs, os.cpu_count() or 1))
-    try:
-        limit = int(cap)
-    except ValueError:
-        raise InputError(f"ARNAGG_THREADS must be an integer, got {cap!r}") from None
-    if limit < 1:
-        raise InputError(f"ARNAGG_THREADS must be >= 1, got {limit}")
-    return min(njobs, limit)
+    return min(njobs, _int("ARNAGG_THREADS", 1)(cap))
 
 
 def _sample_paths(out: str, samples: int) -> list[str]:
@@ -282,12 +282,12 @@ def _cmd_uniformize(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
+    if args.pipeline == "dynamic" and args.epsilon is None:
+        raise InputError("--pipeline dynamic needs --epsilon")
     chain = _load_chain(args)
-    p0 = _make_p0(args.p0, chain.n, args.seed)
+    p0 = _start(args.p0, chain.n, args.seed)
     method = parse_method(args.method)
     if args.pipeline == "dynamic":
-        if args.epsilon is None:
-            raise InputError("dynamic pipeline needs --epsilon")
         agg = pipeline_dynamic(chain, p0, args.size, args.epsilon,
                                step_size=args.step_size, method=method)
     elif args.pipeline == "schur":
@@ -318,45 +318,48 @@ def _mean_rows(per_sample: list[list[list]]) -> list[list]:
     return out
 
 
-def _run_jobs(cfg: RunConfig, header: str, sample_rows) -> int:
-    """Run ``sample_rows(cfg, sample)`` for every sample and write the CSVs.
+def _run_jobs(args, header: str, sample_rows) -> int:
+    """Run ``sample_rows(chain, p0, args)`` for every sample and write the CSVs.
 
-    Samples run on a thread pool.  One sample writes ``cfg.out``; several
-    write one ``_s###`` file each plus a ``_mean`` file.
+    Sample i of a random start is seeded ``[seed, i]``.  Samples run on a
+    thread pool.  One sample writes ``args.out``; several write one
+    ``_s###`` file each plus a ``_mean`` file.
     """
-    with ThreadPoolExecutor(max_workers=_workers(cfg.samples)) as pool:
-        per_sample = list(pool.map(lambda sample: sample_rows(cfg, sample),
-                                   range(cfg.samples)))
-    if cfg.samples == 1:
-        _write_csv(cfg.out, per_sample[0], header)
-        print(f"wrote {cfg.out}")
+    if args.samples > 1 and args.p0[0] != "random":
+        raise InputError("--samples > 1 requires --p0 random")
+    workers = _workers(args.samples)
+    chain = _load_chain(args)
+    starts = [_start(args.p0, chain.n, [args.seed, i]) for i in range(args.samples)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_sample = list(pool.map(lambda p0: sample_rows(chain, p0, args), starts))
+    if args.samples == 1:
+        _write_csv(args.out, per_sample[0], header)
+        print(f"wrote {args.out}")
         return EXIT_OK
-    paths = _sample_paths(cfg.out, cfg.samples)
+    paths = _sample_paths(args.out, args.samples)
     for path, rows in zip(paths, per_sample + [_mean_rows(per_sample)]):
         _write_csv(path, rows, header)
     print(f"wrote {len(paths)} files ({paths[0]} .. {paths[-1]})")
     return EXIT_OK
 
 
-def _trace_rows(cfg: RunConfig, sample: int) -> list[list]:
-    p0 = cfg.p0_for_sample(sample)
-    agg = pipeline_naive(cfg.chain, p0, cfg.sizes[0], method=cfg.method)
-    trace = error_trace(cfg.chain, p0, agg, cfg.ks, policy=cfg.policy)
+def _trace_rows(chain: StochasticMatrix, p0: Distribution, args) -> list[list]:
+    agg = pipeline_naive(chain, p0, args.size, method=parse_method(args.method))
+    trace = error_trace(chain, p0, agg, args.ks, policy=parse_policy(args.policy))
     return [
         [str(int(k)), trace.errors[i], trace.bound_specific[i], trace.bound_general[i]]
         for i, k in enumerate(trace.steps)
     ]
 
 
-def _sweep_rows(cfg: RunConfig, sample: int) -> list[list]:
-    p0 = cfg.p0_for_sample(sample)
+def _sweep_rows(chain: StochasticMatrix, p0: Distribution, args) -> list[list]:
     start = time.perf_counter()
     # Krylov factorizations nest, so snapshots of one builder give every
     # size; after a deflation the later sizes get the deflated one, as
     # pipeline_naive would.
-    builder = ArnoldiBuilder(cfg.chain, p0, cfg.sizes[-1], method=cfg.method)
+    builder = ArnoldiBuilder(chain, p0, args.sizes[-1], method=parse_method(args.method))
     aggs = []
-    for size in cfg.sizes:
+    for size in args.sizes:
         while builder.size < size and not builder.done:
             builder.expand()
         agg = build_aggregation(builder.snapshot(), p0)
@@ -367,39 +370,33 @@ def _sweep_rows(cfg: RunConfig, sample: int) -> list[list]:
         except ComplexStationary:
             pass
         aggs.append(agg)
-    traces = _error_traces(cfg.chain, p0, aggs, cfg.ks, policy=cfg.policy, bounds=False)
-    wall = (time.perf_counter() - start) / len(cfg.sizes)
+    traces = _error_traces(chain, p0, aggs, args.ks, policy=parse_policy(args.policy),
+                           bounds=False)
+    wall = (time.perf_counter() - start) / len(args.sizes)
     return [
         [str(size), trace.static_error,
          float("nan") if trace.criterion is None else trace.criterion, *trace.errors, wall]
-        for size, trace in zip(cfg.sizes, traces)
+        for size, trace in zip(args.sizes, traces)
     ]
 
 
 def _cmd_trace(args) -> int:
-    return _run_jobs(_run_config(args, [args.size]), TRACE_CSV_HEADER, _trace_rows)
+    return _run_jobs(args, TRACE_CSV_HEADER, _trace_rows)
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _run_config(args, _parse_int_list(args.sizes, "size"))
     header = "j,static_error,criterion," \
-        + ",".join(f"e_k_{k}" for k in cfg.ks) + ",wall_time"
-    return _run_jobs(cfg, header, _sweep_rows)
+        + ",".join(f"e_k_{k}" for k in args.ks) + ",wall_time"
+    return _run_jobs(args, header, _sweep_rows)
 
 
 def _cmd_bench(args) -> int:
-    if args.warmup < 1:
-        raise InputError(f"warmup must be >= 1, got {args.warmup}")
-    if args.reps < 1:
-        raise InputError(f"reps must be >= 1, got {args.reps}")
-    if args.trace_k < 0:
-        raise InputError(f"trace-k must be >= 0, got {args.trace_k}")
-    sizes = _parse_int_list(args.sizes, "size")
     chain = _load_chain(args) if (args.input or args.gen) else random_chain(
         args.n, density=args.density, seed=args.seed, sparse=True
     )
-    _check_sizes(sizes, chain.n)
-    p0 = _make_p0(args.p0, chain.n, args.seed)
+    if args.sizes[-1] > chain.n:
+        raise InputError(f"size {args.sizes[-1]} outside 1..{chain.n}")
+    p0 = _start(args.p0, chain.n, args.seed)
     method = parse_method(args.method)
 
     def run(mode: str, j: int) -> None:
@@ -413,7 +410,7 @@ def _cmd_bench(args) -> int:
 
     rows = []
     for mode in ("arnoldi", "arnoldi+schur", "arnoldi+schur+trace"):
-        for j in sizes:
+        for j in args.sizes:
             for _ in range(args.warmup):
                 run(mode, j)
             times = []
@@ -436,7 +433,7 @@ def _cmd_bench(args) -> int:
 def _add_chain_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="chain file (.mtx or .csv)")
     p.add_argument("--gen", help="generator spec, e.g. ncd:blocks=3,block_size=10,epsilon=1e-4")
-    p.add_argument("--p0", default="uniform",
+    p.add_argument("--p0", type=_p0, default="uniform",
                    help="start distribution: file:PATH | uniform | point:I | random")
     p.add_argument("--method", default="cgsir", choices=VARIANTS)
     p.add_argument("--seed", type=_seed, default=0)
@@ -460,70 +457,70 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 model.add_argument(flag, type=kind, default=default, required=default is None,
                                    dest=key)
-        model.add_argument("--out", required=True, help="output prefix")
+        model.add_argument("--out", type=_out, required=True, help="output prefix")
     gen.set_defaults(func=_cmd_gen)
 
     uni = sub.add_parser("uniformize", help="turn a generator matrix into a chain")
     uni.add_argument("--input", required=True)
-    uni.add_argument("--gamma", type=float, default=None)
-    uni.add_argument("--out", required=True)
+    uni.add_argument("--gamma", type=_positive("--gamma"), default=None)
+    uni.add_argument("--out", type=_out, required=True)
     uni.set_defaults(func=_cmd_uniformize)
 
     agg = sub.add_parser("aggregate", help="build one aggregation and write its parts")
     _add_chain_args(agg)
-    agg.add_argument("--size", type=int, required=True,
+    agg.add_argument("--size", type=_int("--size", 1), required=True,
                      help="aggregation size (max size for the dynamic pipeline)")
     agg.add_argument("--pipeline", default="schur", choices=("naive", "schur", "dynamic"))
-    agg.add_argument("--epsilon", type=float, default=None)
-    agg.add_argument("--step-size", type=int, default=1, dest="step_size")
-    agg.add_argument("--out", required=True, help="output prefix")
+    agg.add_argument("--epsilon", type=_positive("--epsilon"), default=None)
+    agg.add_argument("--step-size", type=_int("--step-size", 1), default=1, dest="step_size")
+    agg.add_argument("--out", type=_out, required=True, help="output prefix")
     agg.set_defaults(func=_cmd_aggregate)
 
     trace = sub.add_parser("trace", help="per-step errors and bounds as CSV")
     _add_chain_args(trace)
-    trace.add_argument("--size", type=int, required=True)
-    trace.add_argument("--ks", required=True, help="steps, e.g. 0,1,2 or 0..100..10")
+    trace.add_argument("--size", type=_int("--size", 1), required=True)
+    trace.add_argument("--ks", type=_int_list("--ks", 0), required=True,
+                       help="steps, e.g. 0,1,2 or 0..100..10")
     trace.add_argument("--policy", default="never", choices=POLICY_CHOICES)
-    trace.add_argument("--samples", type=int, default=1)
-    trace.add_argument("--out", required=True)
+    trace.add_argument("--samples", type=_int("--samples", 1), default=1)
+    trace.add_argument("--out", type=_out, required=True)
     trace.set_defaults(func=_cmd_trace)
 
     sweep = sub.add_parser("sweep", help="per-size static error, criterion, and errors")
     _add_chain_args(sweep)
-    sweep.add_argument("--sizes", required=True, help="sizes, e.g. 1..30 or 1..30..5")
-    sweep.add_argument("--ks", default="100", help="error checkpoints")
+    sweep.add_argument("--sizes", type=_int_list("--sizes", 1), required=True,
+                       help="sizes, e.g. 1..30 or 1..30..5")
+    sweep.add_argument("--ks", type=_int_list("--ks", 0), default="100",
+                       help="error checkpoints")
     sweep.add_argument("--policy", default="never", choices=POLICY_CHOICES)
-    sweep.add_argument("--samples", type=int, default=1)
-    sweep.add_argument("--out", required=True)
+    sweep.add_argument("--samples", type=_int("--samples", 1), default=1)
+    sweep.add_argument("--out", type=_out, required=True)
     sweep.set_defaults(func=_cmd_sweep)
 
     bench = sub.add_parser("bench", help="median runtimes of the pipeline stages")
     _add_chain_args(bench)
     bench.add_argument("--n", type=int, default=2000)
     bench.add_argument("--density", type=float, default=0.002)
-    bench.add_argument("--sizes", required=True)
-    bench.add_argument("--reps", type=int, default=3)
-    bench.add_argument("--warmup", type=int, default=1)
-    bench.add_argument("--trace-k", type=int, default=100, dest="trace_k")
-    bench.add_argument("--out", required=True)
+    bench.add_argument("--sizes", type=_int_list("--sizes", 1), required=True)
+    bench.add_argument("--reps", type=_int("--reps", 1), default=3)
+    bench.add_argument("--warmup", type=_int("--warmup", 1), default=1)
+    bench.add_argument("--trace-k", type=_int("--trace-k", 0), default=100, dest="trace_k")
+    bench.add_argument("--out", type=_out, required=True)
     bench.set_defaults(func=_cmd_bench, p0="random")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, OSError, MemoryError) as exc:
+        # A bare MemoryError carries no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -80,8 +80,6 @@ def counterexample(epsilon: float):
     size-1 aggregation of it has zero initial error and error exactly 1
     from the first step on.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {epsilon!r}")
     spec = NcdSpec(
         blocks=(np.array([[1.0]]), np.array([[1.0, 0.0], [1.0, 0.0]])),
         coupling=np.array([[-1, 1, 0], [0, 0, 0], [0, 0, 0]]),

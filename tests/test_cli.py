@@ -102,10 +102,86 @@ class TestSeed:
         ["bench", "--n", 20, "--sizes", "2", "--reps", 1],
     ], ids=["gen_random", "gen_ncd", "aggregate", "trace", "sweep", "bench"])
     def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            run(*command, "--seed", -1, "--out", tmp_path / "out")
-        assert exc.value.code == 2
+        assert run(*command, "--seed", -1, "--out", tmp_path / "out") == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+INPUT = ["--input", "{tmp}/p.mtx"]
+NO_DIR = ["--out", "{tmp}/nodir/x"]
+
+
+class TestFlagsAreCheckedBeforeTheChain:
+    """A value that needs no chain exits 2 before any chain is loaded or built."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ARNAGG_THREADS=0", "trace", *INPUT, "--p0", "random", "--size", 5, "--ks", "0..10",
+          "--samples", 2], "ARNAGG_THREADS must be >= 1, got 0"),
+        (["ARNAGG_THREADS=0", "sweep", *INPUT, "--p0", "random", "--sizes", "1..5", "--ks", 10,
+          "--samples", 2], "ARNAGG_THREADS must be >= 1, got 0"),
+        (["trace", *INPUT, "--size", 5, "--ks", "5,1"],
+         "--ks must be a nonempty, strictly ascending list, got '5,1'"),
+        (["sweep", *INPUT, "--sizes", "1..5", "--ks", "5,1"],
+         "--ks must be a nonempty, strictly ascending list, got '5,1'"),
+        (["bench", "--sizes", "4,2"],
+         "--sizes must be a nonempty, strictly ascending list, got '4,2'"),
+        (["aggregate", *INPUT, "--size", 5, "--pipeline", "dynamic"],
+         "--pipeline dynamic needs --epsilon"),
+        (["aggregate", *INPUT, "--size", 5, "--pipeline", "dynamic", "--epsilon", -1],
+         "--epsilon must be positive and finite, got -1"),
+        (["aggregate", *INPUT, "--size", 5, "--pipeline", "dynamic", "--epsilon", "nan"],
+         "--epsilon must be positive and finite, got nan"),
+        (["aggregate", *INPUT, "--size", 5, "--pipeline", "dynamic", "--epsilon", "inf"],
+         "--epsilon must be positive and finite, got inf"),
+        (["aggregate", *INPUT, "--size", 5, "--pipeline", "dynamic", "--epsilon", 1e-8,
+          "--step-size", 0], "--step-size must be >= 1, got 0"),
+        (["aggregate", *INPUT, "--size", 2, "--p0", "bogus"], "--p0: unknown start 'bogus'"),
+        (["trace", *INPUT, "--size", 2, "--ks", 1, "--p0", "bogus"],
+         "--p0: unknown start 'bogus'"),
+        (["sweep", *INPUT, "--sizes", "1,2", "--p0", "bogus"], "--p0: unknown start 'bogus'"),
+        (["bench", "--sizes", 2, "--p0", "bogus"], "--p0: unknown start 'bogus'"),
+        (["aggregate", *INPUT, "--size", 2, "--p0", "point:x"],
+         "--p0: bad point index in 'point:x'"),
+        (["aggregate", *INPUT, "--size", 2, "--p0", "file:{tmp}/missing.csv"],
+         "--p0 file:{tmp}/missing.csv: [Errno 2] No such file or directory"),
+        (["trace", *INPUT, "--size", 2, "--ks", 1, "--samples", 0],
+         "--samples must be >= 1, got 0"),
+        (["sweep", *INPUT, "--sizes", "1,2", "--samples", 2, "--p0", "uniform"],
+         "--samples > 1 requires --p0 random"),
+        (["trace", *INPUT, "--size", 2, "--ks", -1], "--ks values must be >= 0, got -1"),
+        (["aggregate", *INPUT, "--size", 0], "--size must be >= 1, got 0"),
+        (["sweep", *INPUT, "--sizes", "0..4"], "--sizes values must be >= 1, got 0"),
+        (["uniformize", *INPUT, "--gamma", -1], "--gamma must be positive and finite, got -1"),
+        (["gen", "random", "--n", 5, *NO_DIR], "--out {tmp}/nodir/x: no directory"),
+        (["uniformize", *INPUT, *NO_DIR], "--out {tmp}/nodir/x: no directory"),
+        (["aggregate", "--gen", "random:n=5", "--size", 2, *NO_DIR],
+         "--out {tmp}/nodir/x: no directory"),
+        (["trace", *INPUT, "--size", 2, "--ks", 1, *NO_DIR], "--out {tmp}/nodir/x: no directory"),
+        (["sweep", "--gen", "ncd:blocks=2,block_size=2", "--sizes", 2, *NO_DIR],
+         "--out {tmp}/nodir/x: no directory"),
+        (["bench", "--sizes", 2, *NO_DIR], "--out {tmp}/nodir/x: no directory"),
+    ], ids=["threads_trace", "threads_sweep", "descending_ks_trace", "descending_ks_sweep",
+            "descending_sizes_bench", "dynamic_without_epsilon", "epsilon_negative",
+            "epsilon_nan", "epsilon_inf", "step_size_0", "p0_aggregate", "p0_trace",
+            "p0_sweep", "p0_bench", "p0_point_index", "p0_missing_file", "samples_0",
+            "samples_without_random_p0", "ks_negative", "size_0", "sizes_from_0",
+            "gamma_negative", "out_gen", "out_uniformize", "out_aggregate", "out_trace",
+            "out_sweep", "out_bench"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv, message):
+        def never(*args, **kwargs):
+            raise AssertionError("a chain was loaded or built before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_matrix", never)
+        monkeypatch.setattr(cli, "random_chain", never)
+        for name, (help_text, _, params) in cli.MODELS.items():
+            monkeypatch.setitem(cli.MODELS, name, (help_text, never, params))
+        argv = [str(a).format(tmp=tmp_path) for a in argv]
+        if argv[0].startswith("ARNAGG_THREADS="):
+            monkeypatch.setenv("ARNAGG_THREADS", argv.pop(0).partition("=")[2])
+        if "--out" not in argv:
+            argv += ["--out", f"{tmp_path}/out"]
+        assert run(*argv) == 2
+        assert f"error: {message.format(tmp=tmp_path)}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -226,6 +302,16 @@ class TestAggregate:
         monkeypatch.setattr(cli, "pipeline_schur", boom)
         assert run("aggregate", "--gen", "random:n=6", "--p0", "uniform",
                    "--size", 3, "--out", tmp_path / "agg") == 3
+
+    def test_memory_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "pipeline_dynamic", boom)
+        assert run("aggregate", "--gen", "random:n=6", "--size", 6, "--pipeline", "dynamic",
+                   "--epsilon", 1e-8, "--out", tmp_path / "agg") == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("spec, key", [
         ("random:n=5,dens=0.1", "dens"),
@@ -359,37 +445,6 @@ class TestTrace:
                    "--ks", "0..10", "--samples", 2, "--seed", 7,
                    "--out", tmp_path / "x.csv") == 2
         assert "ARNAGG_THREADS" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command, args", [
-        ("trace", ["--size", 5, "--ks", "0..10"]),
-        ("sweep", ["--sizes", "1..5", "--ks", "10"]),
-    ], ids=["trace", "sweep"])
-    def test_bad_thread_cap_exits_2_before_the_chain_loads(self, tmp_path, monkeypatch, capsys,
-                                                           command, args):
-        def unexpected(*args, **kwargs):
-            raise AssertionError("the chain was loaded before ARNAGG_THREADS was checked")
-
-        save_matrix(random_chain(10, 1.0, seed=1), tmp_path / "p.mtx")
-        monkeypatch.setattr(cli, "load_matrix", unexpected)
-        monkeypatch.setenv("ARNAGG_THREADS", "0")
-        assert run(command, "--input", tmp_path / "p.mtx", "--p0", "random", *args,
-                   "--samples", 2, "--out", tmp_path / "x.csv") == 2
-        assert "ARNAGG_THREADS" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command, args", [
-        ("trace", ["--size", 5]),
-        ("sweep", ["--sizes", "1..5"]),
-    ], ids=["trace", "sweep"])
-    def test_descending_ks_exits_2_before_the_chain_loads(self, tmp_path, monkeypatch, capsys,
-                                                          command, args):
-        def unexpected(*args, **kwargs):
-            raise AssertionError("the chain was loaded before --ks was checked")
-
-        save_matrix(random_chain(10, 1.0, seed=1), tmp_path / "p.mtx")
-        monkeypatch.setattr(cli, "load_matrix", unexpected)
-        assert run(command, "--input", tmp_path / "p.mtx", "--p0", "random", *args,
-                   "--ks", "5,1", "--out", tmp_path / "x.csv") == 2
-        assert "k list must be strictly ascending" in capsys.readouterr().err
 
     @pytest.mark.parametrize("chain, p0", [
         ([[0, 1], [0, 1]], [0.36, 0.64]),
@@ -667,16 +722,6 @@ class TestBench:
         assert run("bench", "--sizes", "4", "--n", 20, "--trace-k", -1,
                    "--out", tmp_path / "x.csv") == 2
         assert "trace-k" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
-
-    def test_descending_sizes_exit_2_before_the_chain_is_built(self, tmp_path, monkeypatch,
-                                                                capsys):
-        def unexpected(*args, **kwargs):
-            raise AssertionError("the chain was built before --sizes was checked")
-
-        monkeypatch.setattr(cli, "random_chain", unexpected)
-        assert run("bench", "--sizes", "4,2", "--out", tmp_path / "x.csv") == 2
-        assert "size list must be strictly ascending" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_p0_file_exits_2(self, tmp_path):
