@@ -22,6 +22,9 @@ from .orthonorm import CGSIR, OrthMethod, _orthogonalize, orthogonalize_step
 
 DEFLATION_TOL = 1e-12
 
+# Steps a builder holds before it first grows; no benchmark run outgrows it.
+_FIRST_CAPACITY = 256
+
 
 @dataclass(frozen=True)
 class ArnoldiFactorization:
@@ -88,10 +91,12 @@ class ArnoldiBuilder:
 
     Single-owner while growing; ``snapshot()`` and the ``basis``,
     ``hessenberg`` and ``residual_direction`` properties hand out read-only
-    views of the storage, which is preallocated at ``max_size`` so
-    expansion never reallocates.  The views stay valid as the builder
-    grows: step j' writes only basis row j' and step-coefficient row
-    j' - 1, and a size-j view reads neither.
+    views of the storage.  The storage holds ``min(max_size, 256)`` steps
+    at first and doubles, up to ``max_size``, when a step would overrun it,
+    so it follows the size reached.  The views stay valid as the builder
+    grows: step j' writes only basis row j' and step-coefficient row j' - 1,
+    which a size-j view does not read, and a view taken before a doubling
+    keeps the old buffer, which no later step writes.
     """
 
     def __init__(self, p_mat: StochasticMatrix, p0, max_size: int,
@@ -111,8 +116,9 @@ class ArnoldiBuilder:
         self.max_size = max_size
         self.method = method
         self.deflated = False
-        self._q = np.zeros((max_size + 1, n))
-        self._h = np.zeros((max_size, max_size + 1))
+        capacity = min(max_size, _FIRST_CAPACITY)
+        self._q = np.zeros((capacity + 1, n))
+        self._h = np.zeros((capacity, capacity + 1))
         self._q[0] = v / nrm
         self._steps = 0
 
@@ -150,6 +156,8 @@ class ArnoldiBuilder:
         if self.done:
             raise InputError("factorization is complete; cannot expand further")
         j = self._steps + 1
+        if j > len(self._h):
+            self._grow()
         # vec_mul returns a new vector, so it is orthogonalized in place.
         w = self.p_mat.vec_mul(self._q[j - 1])
         coefficients, r_norm, w_norm = _orthogonalize(w, self._q[:j], self.method)
@@ -160,6 +168,16 @@ class ArnoldiBuilder:
             self.deflated = True
         else:
             np.divide(w, r_norm, out=self._q[j])
+
+    def _grow(self) -> None:
+        """Double the storage, up to ``max_size``, copying the rows written so far."""
+        old = len(self._h)
+        capacity = min(2 * old, self.max_size)
+        q = np.zeros((capacity + 1, self._q.shape[1]))
+        h = np.zeros((capacity, capacity + 1))
+        q[:old + 1] = self._q
+        h[:old, :old + 1] = self._h
+        self._q, self._h = q, h
 
     def snapshot(self) -> ArnoldiFactorization:
         if self._steps == 0:

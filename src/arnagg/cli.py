@@ -6,15 +6,16 @@ floats at 17 significant digits, so identical configuration and seed give
 byte-identical files apart from wall-time columns.  Exit codes: 0 success,
 2 configuration or validation problems, 3 numerical failures.
 
-Every value that needs no chain is checked by the argparse type of its flag:
-numbers and their ranges, the ``--ks`` and ``--sizes`` lists, the ``--p0``
-grammar (a ``file:`` start is read there, once), and the directory of
-``--out``.  Then, still before any chain is loaded or built, a command checks
-the rules that join flags (``--samples`` above 1 needs ``--p0 random``;
+Argparse takes exactly one of ``--input`` and ``--gen`` (``bench`` may give
+neither, for its ``--n``/``--density`` chain) and checks every other value that
+needs no chain by the type of its flag: numbers and their ranges, the ``--ks``
+and ``--sizes`` lists, the ``--p0`` grammar (a ``file:`` start is read there,
+once), and the directory of ``--out``.  Then, still before any chain, a command
+checks the rules that join flags (``--samples`` above 1 needs ``--p0 random``;
 ``--pipeline dynamic`` needs ``--epsilon``) and ARNAGG_THREADS.  Each such
-error names its flag and exits 2.  Only checks that need the chain run after
-it loads: a size above n, a ``point:`` index >= n and a start vector of the
-wrong length.  A MemoryError, a size too large for the machine, also exits 2.
+error names its flag and exits 2.  Only checks that need the chain run after it
+loads: a size above n, a ``point:`` index >= n and a start vector of the wrong
+length.  A MemoryError, a size too large for the machine, also exits 2.
 
 ``trace`` and ``sweep`` run one job per sample on a thread pool;
 ARNAGG_THREADS caps how many samples run concurrently.  A sweep sample grows
@@ -221,11 +222,9 @@ def _parse_gen_spec(spec: str, seed) -> StochasticMatrix:
 
 
 def _load_chain(args) -> StochasticMatrix:
-    if args.gen:
+    if args.gen is not None:
         return _parse_gen_spec(args.gen, args.seed)
-    if args.input:
-        return load_matrix(args.input, kind="stochastic")
-    raise InputError("need --input FILE or --gen SPEC")
+    return load_matrix(args.input, kind="stochastic")
 
 
 def _start(p0, n: int, seed) -> Distribution:
@@ -391,9 +390,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    chain = _load_chain(args) if (args.input or args.gen) else random_chain(
-        args.n, density=args.density, seed=args.seed, sparse=True
-    )
+    chain = random_chain(args.n, density=args.density, seed=args.seed, sparse=True) \
+        if args.input is None and args.gen is None else _load_chain(args)
     if args.sizes[-1] > chain.n:
         raise InputError(f"size {args.sizes[-1]} outside 1..{chain.n}")
     p0 = _start(args.p0, chain.n, args.seed)
@@ -430,9 +428,11 @@ def _cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_chain_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="chain file (.mtx or .csv)")
-    p.add_argument("--gen", help="generator spec, e.g. ncd:blocks=3,block_size=10,epsilon=1e-4")
+def _add_chain_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    source = p.add_mutually_exclusive_group(required=required)
+    source.add_argument("--input", help="chain file (.mtx or .csv)")
+    source.add_argument("--gen",
+                        help="generator spec, e.g. ncd:blocks=3,block_size=10,epsilon=1e-4")
     p.add_argument("--p0", type=_p0, default="uniform",
                    help="start distribution: file:PATH | uniform | point:I | random")
     p.add_argument("--method", default="cgsir", choices=VARIANTS)
@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep)
 
     bench = sub.add_parser("bench", help="median runtimes of the pipeline stages")
-    _add_chain_args(bench)
+    _add_chain_args(bench, required=False)
     bench.add_argument("--n", type=int, default=2000)
     bench.add_argument("--density", type=float, default=0.002)
     bench.add_argument("--sizes", type=_int_list("--sizes", 1), required=True)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from arnagg import arnoldi
 from arnagg.aggregate import pipeline_dynamic, pipeline_naive, pipeline_schur
 from arnagg.arnoldi import (
     ArnoldiBuilder,
@@ -190,6 +193,50 @@ class TestExpandMatchesOrthogonalizeStep:
         assert fact.basis.shape == basis.shape
         assert fact.basis.tobytes() == basis.tobytes()
         assert fact.hessenberg.tobytes() == hessenberg.tobytes()
+
+
+class TestStorageFollowsTheSizeReached:
+    def test_cap_at_n_allocates_like_a_small_cap(self):
+        # numpy reports its allocations to tracemalloc; storage for max_size = n
+        # would take (n + 1) * n * 8 bytes, 72 MB, for each of the two arrays.
+        p = random_chain(3000, 3e-3, seed=1, sparse=True)
+        p0 = Distribution.uniform(p.n)
+        small = pipeline_dynamic(p, p0, 200, 1e-12)
+        tracemalloc.start()
+        try:
+            full = pipeline_dynamic(p, p0, p.n, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert full.size == small.size == 34
+        for name in ("step_matrix", "disaggregation", "initial", "stationary"):
+            assert getattr(full, name).tobytes() == getattr(small, name).tobytes()
+        assert full.criterion == small.criterion
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_growth_keeps_every_step_and_every_earlier_snapshot(self, sparse):
+        p = random_chain(400, 0.05, seed=[5, 1], sparse=sparse)
+        p0 = Distribution.random(p.n, seed=[5, 2])
+        steps = 300
+        assert steps > arnoldi._FIRST_CAPACITY
+        b = ArnoldiBuilder(p, p0, steps)
+        while b.size < arnoldi._FIRST_CAPACITY:
+            b.expand()
+        early = b.snapshot()
+        arrays = (early.basis, early.hessenberg, early.residual_direction)
+        before = [a.copy() for a in arrays]
+        while not b.done:
+            b.expand()
+        assert b.size == steps and not b.deflated
+        basis, hessenberg = arnoldi_by_orthogonalize_step(p, p0.values, steps, CGSIR)
+        final = b.snapshot()
+        assert final.basis.tobytes() == basis.tobytes()
+        assert final.hessenberg.tobytes() == hessenberg.tobytes()
+        assert not np.shares_memory(final.basis, early.basis)
+        for a, ref in zip(arrays, before):
+            assert not a.flags.writeable
+            assert a.tobytes() == ref.tobytes()
 
 
 class TestRelationResidual:

@@ -185,6 +185,63 @@ class TestFlagsAreCheckedBeforeTheChain:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestChainSource:
+    """Exactly one of --input and --gen is given; only bench may give neither."""
+
+    COMMANDS = {
+        "aggregate": ["--size", 2],
+        "trace": ["--size", 2, "--ks", 1],
+        "sweep": ["--sizes", "1,2"],
+        "bench": ["--sizes", 2, "--reps", 1],
+    }
+
+    @pytest.mark.parametrize("command", ["aggregate", "trace", "sweep", "bench"])
+    def test_both_exit_2_and_write_nothing(self, tmp_path, capsys, command):
+        save_matrix(random_chain(20, 0.5, seed=1, sparse=True), tmp_path / "chain.mtx")
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--input", tmp_path / "chain.mtx", "--gen", "random:n=5",
+                *self.COMMANDS[command], "--out", tmp_path / "both")
+        assert exc.value.code == 2
+        assert "argument --gen: not allowed with argument --input" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["chain.mtx"]
+
+    @pytest.mark.parametrize("command", ["aggregate", "trace", "sweep"])
+    def test_neither_exits_2_before_any_chain(self, tmp_path, monkeypatch, capsys, command):
+        def never(*args, **kwargs):
+            raise AssertionError("a chain was loaded or built without a source")
+
+        monkeypatch.setattr(cli, "load_matrix", never)
+        monkeypatch.setattr(cli, "random_chain", never)
+        with pytest.raises(SystemExit) as exc:
+            run(command, *self.COMMANDS[command], "--out", tmp_path / "neither")
+        assert exc.value.code == 2
+        assert "one of the arguments --input --gen is required" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bench_with_neither_builds_its_n_density_chain(self, tmp_path, monkeypatch):
+        built = []
+
+        def recording(n, density, seed, sparse):
+            built.append((n, density, seed, sparse))
+            return random_chain(n, density=density, seed=seed, sparse=sparse)
+
+        monkeypatch.setattr(cli, "random_chain", recording)
+        out = tmp_path / "b.csv"
+        assert run("bench", "--n", 30, "--density", 0.1, "--seed", 4,
+                   *self.COMMANDS["bench"], "--out", out) == 0
+        assert built == [(30, 0.1, 4, True)]
+        assert {row[0] for row in read_csv(out)[1]} == {"30"}
+
+    def test_empty_gen_counts_as_given(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("aggregate", "--input", tmp_path / "chain.mtx", "--gen", "", "--size", 2,
+                "--out", tmp_path / "x")
+        assert exc.value.code == 2
+        assert run("bench", "--gen", "", "--sizes", 2, "--out", tmp_path / "x.csv") == 2
+        assert "error: unknown generator ''" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUniformize:
     def test_zero_generator_gives_identity_file(self, tmp_path):
         qpath = tmp_path / "q.mtx"
@@ -222,6 +279,41 @@ class TestAggregate:
                    "--epsilon", 1e-8, "--seed", 4, "--out", out)
         assert code == 0
         assert "criterion=" in capsys.readouterr().out
+
+    def test_point_start(self, tmp_path):
+        save_matrix(random_chain(20, 0.5, seed=1, sparse=True), tmp_path / "chain.mtx")
+        out = tmp_path / "agg"
+        assert run("aggregate", "--input", tmp_path / "chain.mtx", "--p0", "point:3",
+                   "--size", 2, "--out", out) == 0
+        initial = load_distribution(f"{out}.initial.csv", strict=False)
+        assert np.array_equal(initial.values, [1.0, 0.0])
+        basis = load_matrix(f"{out}.disaggregation.csv", kind="raw")
+        assert np.array_equal(basis[0], np.eye(20)[3])
+
+    def test_point_index_outside_the_chain_exits_2_after_the_load(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        save_matrix(random_chain(20, 0.5, seed=1, sparse=True), tmp_path / "chain.mtx")
+        loaded = []
+
+        def recording(path, kind):
+            loaded.append(path)
+            return load_matrix(path, kind=kind)
+
+        monkeypatch.setattr(cli, "load_matrix", recording)
+        assert run("aggregate", "--input", tmp_path / "chain.mtx", "--p0", "point:20",
+                   "--size", 2, "--out", tmp_path / "agg") == 2
+        assert loaded
+        assert "error: --p0 point index 20 outside 0..19" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["chain.mtx"]
+
+    def test_naive_pipeline_writes_no_stationary(self, tmp_path, capsys):
+        save_matrix(random_chain(20, 0.5, seed=1, sparse=True), tmp_path / "chain.mtx")
+        out = tmp_path / "agg"
+        assert run("aggregate", "--input", tmp_path / "chain.mtx", "--pipeline", "naive",
+                   "--size", 2, "--out", out) == 0
+        assert capsys.readouterr().out == "size=2 files=step_matrix,disaggregation,initial\n"
+        assert sorted(f.name for f in tmp_path.glob("agg.*")) == [
+            "agg.disaggregation.csv", "agg.initial.csv", "agg.step_matrix.csv"]
 
     def test_nan_entry_in_input_exits_2(self, tmp_path, capsys):
         ppath = tmp_path / "p.mtx"
@@ -723,6 +815,16 @@ class TestBench:
                    "--out", tmp_path / "x.csv") == 2
         assert "trace-k" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_size_above_n_exits_2_before_any_timing(self, tmp_path, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a mode was timed before the sizes were checked against n")
+
+        monkeypatch.setattr(cli, "pipeline_naive", unexpected)
+        monkeypatch.setattr(cli, "pipeline_schur", unexpected)
+        assert run("bench", "--n", 20, "--sizes", "1,21", "--out", tmp_path / "x.csv") == 2
+        assert "error: size 21 outside 1..20" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_p0_file_exits_2(self, tmp_path):
         assert run("bench", "--sizes", "2", "--n", 20, "--reps", 1,
