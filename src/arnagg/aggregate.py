@@ -45,9 +45,9 @@ from .mchain import (
 from .orthonorm import CGSIR, OrthMethod, orthogonality_loss
 from .schur import aggregated_stationary
 
-# Entry threshold of the "some entry is too large" normalization rule.
+# Largest-entry threshold of condition (b) of the conditional policy.
 ENTRY_CAP = 9.0 / 8.0
-# Slack on every threshold of the conditional normalization rules.
+# Slack on the thresholds of the conditional policy's two conditions.
 CONDITION_TOL = 1e-6
 
 
@@ -56,10 +56,10 @@ class NormalizationPolicy:
     """When to rescale an approximated distribution to unit 1-norm.
 
     mode 'never' leaves vectors untouched, 'always' rescales every time,
-    'conditional' rescales only when one of the sufficient conditions for
-    the rescaling not to hurt is met (two of them proven, three sampled
-    conjectures; see ``_should_normalize``), each threshold with the fixed
-    slack ``CONDITION_TOL``.
+    'conditional' rescales only when one of two proven sufficient conditions
+    for the rescaling not to raise the 1-norm error is met (see
+    ``_should_normalize``), each threshold with the fixed slack
+    ``CONDITION_TOL``.
     """
 
     mode: str
@@ -75,33 +75,48 @@ ALWAYS = NormalizationPolicy("always")
 
 
 def parse_policy(name: str) -> NormalizationPolicy:
-    alias = {"never": "never", "cond": "conditional", "conditional": "conditional",
-             "always": "always"}
-    try:
-        return NormalizationPolicy(alias[name.lower()])
-    except KeyError:
-        raise InputError(f"unknown normalization policy {name!r}") from None
+    """The policy named ``name``, case-insensitively; ``cond`` is short for ``conditional``."""
+    name = name.lower()
+    return NormalizationPolicy("conditional" if name == "cond" else name)
 
 
 def _should_normalize(v: np.ndarray, policy: NormalizationPolicy) -> bool:
+    """Whether the policy rescales ``v``; under 'conditional', only when that is proven safe.
+
+    With ``c = ||v||_1`` and ``s = sum(v)``, 'conditional' rescales iff
+
+    (a) ``c >= 1`` and ``max(c - 1, 1 - s) >= 1``, or
+    (b) ``max(v) >= ENTRY_CAP = 9/8``;
+
+    either way ``||v/c - p||_1 <= ||v - p||_1`` for every distribution p.
+
+    (a) ``max(c - 1, 1 - s)`` is the 1-norm distance from v to the
+    probability simplex: ``||v - p||_1`` is at least ``||v||_1 - ||p||_1``
+    and at least ``sum(p - v)``.  Since ``v/c - p = (v - p)/c - (1 - 1/c) p``,
+    ``||v/c - p||_1 - ||v - p||_1 <= (1 - 1/c)(1 - ||v - p||_1) <= 0``.
+
+    (b) Let ``a = v_1 >= 9/8``, so ``c >= a``.  If ``p_1 >= a/c``, coordinate
+    1 changes by ``2 p_1 - a/c - a`` and coordinate i > 1 by at most
+    ``2 p_i - |v_i| (1 - 1/c)``; these sum to at most
+    ``3 - c - 2a/c <= 3 - 2 sqrt(2a) <= 0``.  Otherwise coordinate 1 changes
+    by ``-a (1 - 1/c)`` and coordinate i > 1 by at most ``|v_i| (1 - 1/c)``,
+    so the sum is at most ``(1 - 1/c)(c - 2a) <= 0`` when ``c <= 2a``; and
+    when ``c > 2a``, ``c - 1 > 1`` and (a) holds.  The cap is tight: at
+    ``v = (9/8, -3/8)``, ``p = e_1`` the error is unchanged.
+
+    ``CONDITION_TOL`` widens (a) through c and s only, so rescaling may then
+    raise the error by about the tolerance at most, and tightens (b).
+    """
     if policy.mode == "never":
         return False
     if policy.mode == "always":
         return True
-    eps = CONDITION_TOL
-    if np.any(v <= -1.0 - eps):
-        return True
-    if np.any(v >= ENTRY_CAP + eps):
-        return True
-    norm1 = float(np.abs(v).sum())
-    if norm1 >= 2.0 - eps:
-        return True
-    if norm1 >= 1.0 - eps and np.all(v <= eps):
-        return True
-    # Leaving out the largest entry minimizes the remaining signed sum.
-    if float(v.sum() - v.max()) <= -1.0 - eps:
-        return True
-    return False
+    tol = CONDITION_TOL
+    # A finite vector's sums may overflow; an infinite c rescales through (a).
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s = float(np.abs(v).sum()), float(v.sum())
+    return (c >= 1.0 - tol and max(c - 1.0, 1.0 - s) >= 1.0 - tol) \
+        or float(v.max()) >= ENTRY_CAP + tol
 
 
 def normalize(p, policy: NormalizationPolicy) -> Distribution:

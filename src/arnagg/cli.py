@@ -12,7 +12,8 @@ needs no chain by the type of its flag: numbers and their ranges, the ``--ks``
 and ``--sizes`` lists, the ``--p0`` grammar (a ``file:`` start is read there,
 once), and the directory of ``--out``.  Then, still before any chain, a command
 checks the rules that join flags (``--samples`` above 1 needs ``--p0 random``;
-``--pipeline dynamic`` needs ``--epsilon``) and ARNAGG_THREADS.  Each such
+``--pipeline dynamic`` needs ``--epsilon``; ``bench`` takes ``--n`` and
+``--density`` only without a chain source) and ARNAGG_THREADS.  Each such
 error names its flag and exits 2.  Only checks that need the chain run after it
 loads: a size above n, a ``point:`` index >= n and a start vector of the wrong
 length.  A MemoryError, a size too large for the machine, also exits 2.
@@ -390,8 +391,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    chain = random_chain(args.n, density=args.density, seed=args.seed, sparse=True) \
-        if args.input is None and args.gen is None else _load_chain(args)
+    if args.input is None and args.gen is None:
+        chain = random_chain(2000 if args.n is None else args.n,
+                             density=0.002 if args.density is None else args.density,
+                             seed=args.seed, sparse=True)
+    else:
+        for flag, value in (("--n", args.n), ("--density", args.density)):
+            if value is not None:
+                raise InputError(f"{flag} shapes bench's own chain, not one from --input or --gen")
+        chain = _load_chain(args)
     if args.sizes[-1] > chain.n:
         raise InputError(f"size {args.sizes[-1]} outside 1..{chain.n}")
     p0 = _start(args.p0, chain.n, args.seed)
@@ -499,8 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="median runtimes of the pipeline stages")
     _add_chain_args(bench, required=False)
-    bench.add_argument("--n", type=int, default=2000)
-    bench.add_argument("--density", type=float, default=0.002)
+    bench.add_argument("--n", type=int, default=None,
+                       help="states of the chain built without --input/--gen (default 2000)")
+    bench.add_argument("--density", type=float, default=None,
+                       help="density of that chain (default 0.002)")
     bench.add_argument("--sizes", type=_int_list("--sizes", 1), required=True)
     bench.add_argument("--reps", type=_int("--reps", 1), default=3)
     bench.add_argument("--warmup", type=_int("--warmup", 1), default=1)

@@ -10,9 +10,10 @@ its Krylov loop before ``ArnoldiBuilder.expand`` orthogonalized in place,
 ``stream_parse_matrixmarket``, its Matrix Market reader before entries
 went through ``np.loadtxt``, ``stationary_by_phase_alignment``, its
 stationary extraction before LAPACK's real/complex verdict decided alone,
-and ``defect_rows_by_gemm``, its defect row sums before they were read
-off the Arnoldi relation; each is kept as the reference for the change
-that replaced it.
+``defect_rows_by_gemm``, its defect row sums before they were read
+off the Arnoldi relation, and ``conditional_by_five_rules``, its
+conditional normalization rules before two proven conditions replaced
+them; each is kept as the reference for the change that replaced it.
 ``orthonormalize_rows`` is a test harness, not a reference: it runs the
 library's ``orthogonalize_step`` over a sequence of vectors.  Matrix
 validation is checked against ``dense_validation_verdict``, plain loops
@@ -26,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 
-from arnagg.aggregate import _defect_rows, exactness_defect
+from arnagg.aggregate import CONDITION_TOL, ENTRY_CAP, _defect_rows, exactness_defect
 from arnagg.arnoldi import DEFLATION_TOL, ArnoldiBuilder, build_aggregation
 from arnagg.errors import (
     ComplexStationary,
@@ -188,6 +189,31 @@ def defect_rows_by_gemm(p_mat, agg) -> np.ndarray:
     aggregation built by hand.
     """
     return np.abs(exactness_defect(p_mat, agg)).sum(axis=1)
+
+
+def conditional_by_five_rules(v: np.ndarray) -> bool:
+    """Whether the 'conditional' policy rescaled ``v`` under its five rules.
+
+    Two rules were proven (1-norm at least 2; no positive entry and 1-norm
+    at least 1) and three sampled conjectures (an entry at most -1, an entry
+    at least ``ENTRY_CAP``, the sum without the largest entry at most -1),
+    each threshold with the slack ``CONDITION_TOL``, the nonpositivity test
+    per entry.
+    """
+    eps = CONDITION_TOL
+    if np.any(v <= -1.0 - eps):
+        return True
+    if np.any(v >= ENTRY_CAP + eps):
+        return True
+    norm1 = float(np.abs(v).sum())
+    if norm1 >= 2.0 - eps:
+        return True
+    if norm1 >= 1.0 - eps and np.all(v <= eps):
+        return True
+    # Leaving out the largest entry minimizes the remaining signed sum.
+    if float(v.sum() - v.max()) <= -1.0 - eps:
+        return True
+    return False
 
 
 # Imaginary mass left after phase alignment is rounding noise up to this

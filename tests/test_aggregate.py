@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from arnagg.aggregate import (
     ALWAYS,
+    CONDITION_TOL,
     CONDITIONAL,
+    ENTRY_CAP,
     NEVER,
     ErrorTrace,
     NormalizationPolicy,
     _defect_rows,
     _error_traces,
     _estimated_criterion,
+    _should_normalize,
     aggregated_step,
     approximate,
     convergence_criterion,
@@ -52,6 +55,7 @@ from arnagg.orthonorm import CGS, CGSIR, VARIANTS, OrthMethod, orthogonality_los
 from arnagg.schur import aggregated_stationary
 
 from oracles import (
+    conditional_by_five_rules,
     defect_rows_by_gemm,
     dynamic_geev_every_size,
     power_iteration_stationary,
@@ -172,6 +176,29 @@ class TestNormalize:
         out = normalize(v, CONDITIONAL)
         assert np.allclose(out.values, v / 1.65, atol=1e-15)
 
+    def test_rule_distance_to_simplex_at_least_one(self):
+        # 1-norm 1.2 and sum 0: at distance 1 from every distribution.
+        out = normalize(np.array([0.6, -0.6]), CONDITIONAL)
+        assert np.allclose(out.values, [0.5, -0.5], atol=1e-15)
+
+    def test_many_small_positive_entries_left_alone(self):
+        # 1-norm 1.5 and every entry at most 1e-6; rescaling would raise the
+        # error against 1e-6 on the first half and 0 on the second from 0.5 to 2/3.
+        v = np.repeat([1e-6, 5e-7], 1_000_000)
+        assert np.array_equal(normalize(v, CONDITIONAL).values, v)
+        exact = np.repeat([1e-6, 0.0], 1_000_000)
+        assert np.abs(v - exact).sum() == pytest.approx(0.5)
+        assert np.abs(v / 1.5 - exact).sum() == pytest.approx(2.0 / 3.0)
+
+    def test_entry_below_the_cap_left_alone(self):
+        # Rescaling would raise the error against e_1 by 3 - 2 sqrt(2.2), so
+        # the cap of condition (b) cannot be lowered to 1.1.
+        v = np.array([1.1, 1.1 - np.sqrt(2.2)])
+        assert np.array_equal(normalize(v, CONDITIONAL).values, v)
+        exact = np.array([1.0, 0.0])
+        raised = np.abs(v / np.abs(v).sum() - exact).sum() - np.abs(v - exact).sum()
+        assert raised == pytest.approx(3.0 - 2.0 * np.sqrt(2.2), abs=1e-12)
+
     def test_always(self):
         out = normalize(np.array([2.0, 2.0]), ALWAYS)
         assert np.array_equal(out.values, [0.5, 0.5])
@@ -204,6 +231,12 @@ class TestNormalize:
             NormalizationPolicy("sometimes")
         assert parse_policy("cond").mode == "conditional"
 
+    def test_parse_policy_lowercases_and_leaves_the_rest_to_the_policy(self):
+        assert parse_policy("Always") == ALWAYS
+        assert parse_policy("CONDITIONAL") == CONDITIONAL
+        with pytest.raises(InputError, match="unknown normalization mode 'sometimes'"):
+            parse_policy("Sometimes")
+
 
 def rescaling_does_not_hurt(v, exact) -> bool:
     """Criterion 7's test: rescaling ``v`` to unit 1-norm does not raise its error."""
@@ -211,9 +244,27 @@ def rescaling_does_not_hurt(v, exact) -> bool:
     return np.abs(rescaled - exact).sum() <= np.abs(v - exact).sum() + 1e-12
 
 
-# The sufficient conditions of the conditional policy.  Each maps a drawn
-# vector, an index and a fraction t in [0, 1] to a vector meeting it, or None.
+def with_mass(v, mass):
+    """Nonzero ``v`` scaled to 1-norm ``mass``, without overflow on subnormal entries."""
+    u = v / np.abs(v).max()
+    return u * (mass / np.abs(u).sum())
+
+
+def distance_to_simplex_at_least_one(v, i, t):
+    """``v`` scaled to 1-norm ``1 + t`` and signed so that its sum is at most 0."""
+    if not v.any():
+        return None
+    w = with_mass(v, 1.0 + t)
+    return w if w.sum() <= 0.0 else -w
+
+
+# Sufficient conditions for rescaling not to raise the error: the conditional
+# policy's (a) (``proven_distance_to_simplex_at_least_one``) and (b)
+# (``conjectured_entry_at_least_nine_eighths``), and the rules they replaced.
+# Each maps a drawn vector, an index and a fraction t in [0, 1] to a vector
+# meeting it, or None.
 RESCALING_RULES = {
+    "proven_distance_to_simplex_at_least_one": distance_to_simplex_at_least_one,
     "proven_mass_at_least_two": lambda v, i, t: v if np.abs(v).sum() >= 2.0 else None,
     "proven_nonpositive_mass_at_least_one":
         lambda v, i, t: -np.abs(v) if np.abs(v).sum() >= 1.0 else None,
@@ -236,8 +287,45 @@ def rescaling_cases(draw):
     return v, weights / weights.sum(), draw(st.integers(0, d - 1)), draw(st.floats(0.0, 1.0))
 
 
+def nonpositive_mass_at_one(v, i):
+    """``-|v|`` with entry i raised to the slack and 1-norm ``1 - CONDITION_TOL``."""
+    w = -np.abs(v)
+    w[i] = 0.0
+    if not w.any():
+        w[i - 1] = -1.0
+    w = with_mass(w, 1.0 - 2.0 * CONDITION_TOL)
+    w[i] = CONDITION_TOL
+    return w
+
+
+# Moves onto one threshold of the five rules, each with its slack: a drawn
+# vector and an index map to a vector on that threshold.
+FIVE_RULE_THRESHOLDS = {
+    "none": lambda v, i: v,
+    "entry_at_minus_one":
+        lambda v, i: np.where(np.arange(len(v)) == i, -1.0 - CONDITION_TOL, v),
+    "entry_at_the_cap":
+        lambda v, i: np.where(np.arange(len(v)) == i, ENTRY_CAP + CONDITION_TOL, v),
+    "mass_at_two": lambda v, i: with_mass(v, 2.0 - CONDITION_TOL),
+    "nonpositive_mass_at_one": nonpositive_mass_at_one,
+    "sum_without_largest_at_minus_one": lambda v, i: np.where(
+        np.arange(len(v)) == (np.argmax(v) + 1) % len(v),
+        v - (v.sum() - v.max() + 1.0 + CONDITION_TOL), v),
+}
+
+
+@st.composite
+def five_rule_cases(draw):
+    """A nonzero vector of 2-10 entries in [-4, 4], possibly moved onto a threshold."""
+    d = draw(st.integers(2, 10))
+    v = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)))
+    assume(v.any())
+    return FIVE_RULE_THRESHOLDS[draw(st.sampled_from(list(FIVE_RULE_THRESHOLDS)))](
+        v, draw(st.integers(0, d - 1)))
+
+
 class TestRescalingRules:
-    """The conditional policy's rules, proven and conjectured, against generated distributions."""
+    """Sufficient conditions for rescaling, against generated distributions."""
 
     @pytest.mark.parametrize("rule", list(RESCALING_RULES))
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -247,6 +335,11 @@ class TestRescalingRules:
         v = RESCALING_RULES[rule](v, i, t)
         assume(v is not None)
         assert rescaling_does_not_hurt(v, exact)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(five_rule_cases())
+    def test_conditional_rescales_what_the_five_rules_rescale(self, v):
+        assert _should_normalize(v, CONDITIONAL) or not conditional_by_five_rules(v)
 
 
 # Size-1 step matrix [[1.187]]: the aggregated vector overflows at step 4144.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arnagg import cli
-from arnagg.aggregate import error_trace, pipeline_naive, pipeline_schur
+from arnagg.aggregate import NEVER, error_trace, parse_policy, pipeline_naive, pipeline_schur
 from arnagg.arnoldi import ArnoldiBuilder
 from arnagg.errors import ComplexStationary
 from arnagg.mchain import (
@@ -160,13 +160,17 @@ class TestFlagsAreCheckedBeforeTheChain:
         (["sweep", "--gen", "ncd:blocks=2,block_size=2", "--sizes", 2, *NO_DIR],
          "--out {tmp}/nodir/x: no directory"),
         (["bench", "--sizes", 2, *NO_DIR], "--out {tmp}/nodir/x: no directory"),
+        (["bench", *INPUT, "--n", 50, "--sizes", 2],
+         "--n shapes bench's own chain, not one from --input or --gen"),
+        (["bench", "--gen", "random:n=5", "--density", 0.5, "--sizes", 2],
+         "--density shapes bench's own chain, not one from --input or --gen"),
     ], ids=["threads_trace", "threads_sweep", "descending_ks_trace", "descending_ks_sweep",
             "descending_sizes_bench", "dynamic_without_epsilon", "epsilon_negative",
             "epsilon_nan", "epsilon_inf", "step_size_0", "p0_aggregate", "p0_trace",
             "p0_sweep", "p0_bench", "p0_point_index", "p0_missing_file", "samples_0",
             "samples_without_random_p0", "ks_negative", "size_0", "sizes_from_0",
             "gamma_negative", "out_gen", "out_uniformize", "out_aggregate", "out_trace",
-            "out_sweep", "out_bench"])
+            "out_sweep", "out_bench", "n_with_input_bench", "density_with_gen_bench"])
     def test_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv, message):
         def never(*args, **kwargs):
             raise AssertionError("a chain was loaded or built before the flags were checked")
@@ -684,6 +688,38 @@ class TestSweep:
     ], ids=["csv", "no_suffix", "dotted_stem", "dotted_directory", "hidden_file"])
     def test_sample_paths_split_the_suffix_of_the_file_name(self, out, first, mean):
         assert cli._sample_paths(out, 2) == [first, first.replace("_s000", "_s001"), mean]
+
+
+class TestPolicyFlag:
+    """--policy reaches the library: trace and sweep rows are its error traces under it."""
+
+    KS = [0, 3, 5, 20]
+
+    @pytest.mark.parametrize("policy", ["cond", "always"])
+    def test_rows_match_the_library_under_the_policy(self, tmp_path, policy):
+        # Size 1 has step matrix [[1.187]]: its approximations grow past 1-norm 2 by step 4.
+        p = StochasticMatrix(np.array([[0.0, 1.0], [0.0, 1.0]]))
+        p0 = Distribution(np.array([0.36, 0.64]))
+        save_matrix(p, tmp_path / "chain.mtx")
+        save_distribution(p0, tmp_path / "p0.csv")
+        p = load_matrix(tmp_path / "chain.mtx")
+        common = ["--input", tmp_path / "chain.mtx", "--p0", f"file:{tmp_path / 'p0.csv'}",
+                  "--ks", ",".join(map(str, self.KS)), "--policy", policy]
+        assert run("trace", *common, "--size", 1, "--out", tmp_path / "tr.csv") == 0
+        assert run("sweep", *common, "--sizes", "1,2", "--out", tmp_path / "sw.csv") == 0
+
+        pol = parse_policy(policy)
+        trace = error_trace(p, p0, pipeline_naive(p, p0, 1), self.KS, policy=pol)
+        assert read_csv(tmp_path / "tr.csv")[1] == [
+            [str(k), *(cli.FLOAT_FORMAT % x for x in row)] for k, *row in zip(
+                self.KS, trace.errors, trace.bound_specific, trace.bound_general)]
+        sizes = [error_trace(p, p0, pipeline_schur(p, p0, j), self.KS, policy=pol) for j in (1, 2)]
+        assert [row[:-1] for row in read_csv(tmp_path / "sw.csv")[1]] == [
+            [str(j), *(cli.FLOAT_FORMAT % x for x in (t.static_error, t.criterion, *t.errors))]
+            for j, t in zip((1, 2), sizes)]
+        # The policy rescales: the rows differ from --policy never's.
+        assert not np.array_equal(trace.errors, error_trace(
+            p, p0, pipeline_naive(p, p0, 1), self.KS, policy=NEVER).errors)
 
 
 def two_three_cycles():
