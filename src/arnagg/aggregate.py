@@ -6,12 +6,13 @@ upper bounds, both accumulated step by step: the specific bound adds the
 current aggregated vector's weighted absolute row sums of the exactness
 defect, the general bound adds the geometric majorant
 ``||pi_0||_1 * ||step_matrix||_inf^i`` of that vector's 1-norm times the
-defect's largest row sum.  Only the absolute row sums of the exactness
-defect ``step_matrix @ A - A @ P`` are kept, and for a Krylov aggregation
-they are read off the Arnoldi relation ``H Q + E = Q P``: every row but the
-last is zero, the last is the aggregation's ``residual`` (see
-``_defect_rows``).  So a trace forms no j x n product, and its criterion is
-the dynamic pipeline's, bit for bit.
+defect's largest row sum.  For a Krylov aggregation the exactness defect
+``step_matrix @ A - A @ P`` is read off the Arnoldi relation
+``H Q + E = Q P``: every row but the last is zero (Saad, Iterative Methods
+for Sparse Linear Systems, section 6.3), and the last row's absolute sum is
+the aggregation's ``residual`` r.  So a vector v weighs the defect as
+``|v_j| * r``, a trace forms no j x n product, and its criterion is the
+dynamic pipeline's, bit for bit.
 """
 
 from __future__ import annotations
@@ -175,10 +176,9 @@ class ErrorTrace:
     """Per-step approximation errors of an aggregation, with bounds.
 
     ``errors[i]`` is the 1-norm error at step ``steps[i]``; the two bound
-    arrays line up with ``steps`` (nan where the caller asked for no
-    bounds).  ``static_error`` is the max-row-sum norm of the exactness
-    defect.  ``criterion`` is present when the aggregation carries a
-    stationary vector.
+    arrays line up with ``steps``.  ``static_error`` is the max-row-sum norm
+    of the exactness defect.  ``criterion`` is present when the aggregation
+    carries a stationary vector.
     """
 
     steps: np.ndarray
@@ -198,10 +198,10 @@ def error_trace(p_mat: StochasticMatrix, p0, agg: Aggregation, ks,
 
     ``ks`` must be ascending step counts.  The chain is walked once, to
     ``ks[-1]``; the aggregated vector takes the same steps next to it.  Of
-    the exactness defect only the absolute row sums are used, read off the
-    Arnoldi relation for a Krylov aggregation (``_defect_rows``), so
+    the exactness defect only the absolute row sums are used; for a Krylov
+    aggregation every one is 0 but the last, ``agg.residual``, so
     ``static_error``, ``criterion`` and the bounds agree with the
-    materialised defect up to the relation residual.  The initial error
+    materialised defect up to ``relation_residual``.  The initial error
     feeding both bounds is measured, not assumed zero, which doubles as a
     check of the aggregated start vector.  This is the one-aggregation case
     of ``_error_traces``.
@@ -210,16 +210,13 @@ def error_trace(p_mat: StochasticMatrix, p0, agg: Aggregation, ks,
 
 
 def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
-                  policy: NormalizationPolicy = NEVER,
-                  bounds: bool = True) -> list[ErrorTrace]:
+                  policy: NormalizationPolicy = NEVER) -> list[ErrorTrace]:
     """``[error_trace(p_mat, p0, agg, ks, policy) for agg in aggs]`` on one chain walk.
 
-    Each aggregation reads its own defect rows (``_defect_rows``), which
-    for a Krylov one cost no chain product, so the walk is the only work
-    on the chain.  At each checkpoint every aggregation's walk catches up
-    with the chain, so each trace takes the same steps, in the same order,
-    as on its own.  With ``bounds=False`` no bound is accumulated and both
-    bound arrays read nan.
+    A Krylov aggregation weighs its defect by one number and costs no chain
+    product, so the walk is the only work on the chain.  At each checkpoint
+    every aggregation's walk catches up with the chain, so each trace takes
+    the same steps, in the same order, as on its own.
     """
     ks = [int(k) for k in ks]
     if not ks:
@@ -232,8 +229,7 @@ def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
     if not np.isfinite(p).all():
         raise InputError("start vector has non-finite entries")
 
-    walks = [_AggregatedWalk(p, agg, _defect_rows(p_mat, agg), len(ks), policy, bounds)
-             for agg in aggs]
+    walks = [_AggregatedWalk(p_mat, p, agg, len(ks), policy) for agg in aggs]
     done = 0
     # Overflow is not warned about: a bound or error past the float range
     # reads inf, and ``record`` rejects an approximation that is not finite.
@@ -246,65 +242,50 @@ def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
     return [walk.result(ks) for walk in walks]
 
 
-def _defect_rows(p_mat: StochasticMatrix, agg: Aggregation) -> np.ndarray:
-    """Absolute row sums of ``agg``'s exactness defect ``H Q - Q P``.
-
-    For a Krylov aggregation the Arnoldi relation ``H Q + E = Q P`` makes
-    the defect ``-E`` up to rounding, and ``E`` is zero except for its last
-    row, ``residual_norm * residual_direction`` (Saad, Iterative Methods
-    for Sparse Linear Systems, section 6.3).  So every row sum is 0 but the
-    last, ``agg.residual``, and each differs from the materialised one by
-    at most ``relation_residual(fact, P)``.  An aggregation built by hand
-    (``residual`` None) gets the materialised row sums.
-    """
-    if agg.residual is None:
-        return np.abs(exactness_defect(p_mat, agg)).sum(axis=1)
-    rows = np.zeros(agg.size)
-    rows[-1] = agg.residual
-    return rows
-
-
 class _AggregatedWalk:
     """One aggregation's side of an error trace: its walk, bounds and errors.
 
     Each step allocates the next aggregated vector; the walk starts from
-    ``agg.initial`` itself, which it never writes to.  ``defect_rows``
-    holds the absolute row sums of the exactness defect, as
-    ``_defect_rows`` gives them; ``static_error``, the criterion and both
-    bounds are read off them.  Without ``bounds`` the walk only steps, and
-    the bound arrays stay nan.
+    ``agg.initial`` itself, which it never writes to.  ``weigh(v)`` is
+    ``|v|`` dotted with the absolute row sums of the exactness defect:
+    ``|v_j| * agg.residual`` for a Krylov aggregation, whose defect has one
+    nonzero row, and, for one built by hand (``residual`` None), against
+    the row sums of the materialised defect.  ``static_error``, the
+    criterion and the specific bound are read off it.
     """
 
-    def __init__(self, p0: np.ndarray, agg: Aggregation, defect_rows: np.ndarray,
-                 checkpoints: int, policy: NormalizationPolicy, bounds: bool):
+    def __init__(self, p_mat: StochasticMatrix, p0: np.ndarray, agg: Aggregation,
+                 checkpoints: int, policy: NormalizationPolicy):
         self.agg = agg
         self.policy = policy
-        self.bounds = bounds
-        self.defect_rows = defect_rows
-        self.static_error = float(defect_rows.max()) if defect_rows.size else 0.0
+        if agg.residual is None:
+            rows = np.abs(exactness_defect(p_mat, agg)).sum(axis=1)
+            self.static_error = float(rows.max())
+            self.weigh = lambda v: float(np.abs(v) @ rows)
+        else:
+            r = self.static_error = float(agg.residual)
+            self.weigh = lambda v: abs(float(v[-1])) * r
         self.pi = agg.initial
         self.errors = np.empty(checkpoints)
-        self.specific = np.full(checkpoints, np.nan)
-        self.general = np.full(checkpoints, np.nan)
-        if bounds:
-            self.inf_step = inf_norm(agg.step_matrix)
-            e0 = float(np.abs(self.pi @ agg.disaggregation - p0).sum())
-            self.acc_specific = self.acc_general = e0
-            # Majorant ||initial||_1 * inf_step^i of the current vector's 1-norm.
-            self.mass = float(np.abs(self.pi).sum())
+        self.specific = np.empty(checkpoints)
+        self.general = np.empty(checkpoints)
+        self.inf_step = inf_norm(agg.step_matrix)
+        e0 = float(np.abs(self.pi @ agg.disaggregation - p0).sum())
+        self.acc_specific = self.acc_general = e0
+        # Majorant ||initial||_1 * inf_step^i of the current vector's 1-norm.
+        self.mass = float(np.abs(self.pi).sum())
 
     def advance(self, steps: int) -> None:
-        """Take ``steps`` aggregated steps, accumulating the bounds if kept.
+        """Take ``steps`` aggregated steps, accumulating both bounds.
 
         For size 1 the general term ``mass * static_error`` is the specific
-        term ``|pi| @ defect_rows`` float for float, so there the two bounds
-        are equal.
+        term ``weigh(pi)`` float for float, so there the two bounds are
+        equal.
         """
         for _ in range(steps):
-            if self.bounds:
-                self.acc_specific += float(np.abs(self.pi) @ self.defect_rows)
-                self.acc_general += self.mass * self.static_error
-                self.mass *= self.inf_step
+            self.acc_specific += self.weigh(self.pi)
+            self.acc_general += self.mass * self.static_error
+            self.mass *= self.inf_step
             self.pi = self.pi @ self.agg.step_matrix
 
     def record(self, i: int, k: int, p_k: np.ndarray) -> None:
@@ -315,14 +296,13 @@ class _AggregatedWalk:
                                  f"longer finite at step {k}")
         approx = normalize(image, self.policy).values
         self.errors[i] = float(np.abs(approx - p_k).sum())
-        if self.bounds:
-            self.specific[i] = self.acc_specific
-            self.general[i] = self.acc_general
+        self.specific[i] = self.acc_specific
+        self.general[i] = self.acc_general
 
     def result(self, ks: list[int]) -> ErrorTrace:
         criterion = None
         if self.agg.stationary is not None:
-            criterion = float(np.abs(self.agg.stationary) @ self.defect_rows)
+            criterion = self.weigh(self.agg.stationary)
         return ErrorTrace(
             steps=np.array(ks, dtype=int),
             errors=self.errors,
@@ -351,7 +331,7 @@ def _estimated_criterion(hessenberg: np.ndarray, residual: float, x: np.ndarray,
     """The criterion after two inverse-iteration steps on ``H^T - I`` from ``x``.
 
     ``residual`` is ``residual_norm * ||residual_direction||_1``, the one
-    nonzero defect row sum (``_defect_rows``).  Shift 1
+    nonzero defect row sum.  Shift 1
     is the known eigenvalue (Golub & Van Loan, section 7.6).  The iterate
     ``z`` is scaled by ``|z @ row_sums|``, where ``row_sums`` holds the row
     sums of the basis: that is the sum of the image ``z Q``, its 1-norm
@@ -387,9 +367,9 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
 
     The criterion is evaluated every ``step_size`` expansions, at
     deflation, and at ``max_size``, on the stationary vector of the current
-    step matrix (LAPACK ``geev``) and read off the Arnoldi relation in O(n)
-    (see ``_defect_rows``), the expression a trace of the same aggregation
-    reads, so the two agree bit for bit; the first size passing
+    step matrix (LAPACK ``geev``) and read off the Arnoldi relation as
+    ``|stationary_j| * residual``, the expression a trace of the same
+    aggregation reads, so the two agree bit for bit; the first size passing
     ``criterion <= epsilon`` wins, else the final size is returned.
 
     ``geev`` runs only where a size can stop: where the warm-started
@@ -447,7 +427,7 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
                             f"has orthogonality loss {loss:.3e}",)
                 raise
             continue
-        crit = float(np.abs(agg.stationary) @ _defect_rows(p_mat, agg))
+        crit = abs(float(agg.stationary[-1])) * agg.residual
         agg = replace(agg, criterion=crit)
         if crit <= epsilon or builder.done:
             return agg

@@ -21,10 +21,10 @@ length.  A MemoryError, a size too large for the machine, also exits 2.
 ``trace`` and ``sweep`` run one job per sample on a thread pool;
 ARNAGG_THREADS caps how many samples run concurrently.  A sweep sample grows
 one Krylov factorization to its largest size, snapshots it at every size and
-walks the chain once for all of them; each size reads its defect rows off the
-Arnoldi relation, with no chain product, and no bound is summed, since a
-sweep row has no bound column.  A sweep row's wall_time is its sample's wall
-time divided by the number of sizes, so a sample's rows sum to its wall time.
+walks the chain once for all of them; each size weighs its defect by the one
+number the Arnoldi relation leaves, with no chain product.  A sweep row's
+wall_time is its sample's wall time divided by the number of sizes, so a
+sample's rows sum to its wall time.
 """
 
 from __future__ import annotations
@@ -89,15 +89,17 @@ def _int(flag: str, low: int):
     return parse
 
 
-def _positive(flag: str):
-    """The argparse type of ``flag``: a positive, finite float."""
+def _positive(flag: str, most: float = np.inf):
+    """The argparse type of ``flag``: a positive, finite float, at most ``most``."""
+    rule = "positive and finite" if most == np.inf else f"in (0, {most:g}]"
+
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             raise InputError(f"{flag} must be a number, got {text!r}") from None
-        if not 0.0 < value < np.inf:
-            raise InputError(f"{flag} must be positive and finite, got {text}")
+        if not 0.0 < value <= most or value == np.inf:
+            raise InputError(f"{flag} must be {rule}, got {text}")
         return value
     return parse
 
@@ -370,8 +372,7 @@ def _sweep_rows(chain: StochasticMatrix, p0: Distribution, args) -> list[list]:
         except ComplexStationary:
             pass
         aggs.append(agg)
-    traces = _error_traces(chain, p0, aggs, args.ks, policy=parse_policy(args.policy),
-                           bounds=False)
+    traces = _error_traces(chain, p0, aggs, args.ks, policy=parse_policy(args.policy))
     wall = (time.perf_counter() - start) / len(args.sizes)
     return [
         [str(size), trace.static_error,
@@ -507,9 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="median runtimes of the pipeline stages")
     _add_chain_args(bench, required=False)
-    bench.add_argument("--n", type=int, default=None,
+    bench.add_argument("--n", type=_int("--n", 1), default=None,
                        help="states of the chain built without --input/--gen (default 2000)")
-    bench.add_argument("--density", type=float, default=None,
+    bench.add_argument("--density", type=_positive("--density", 1.0), default=None,
                        help="density of that chain (default 0.002)")
     bench.add_argument("--sizes", type=_int_list("--sizes", 1), required=True)
     bench.add_argument("--reps", type=_int("--reps", 1), default=3)

@@ -229,16 +229,22 @@ class Distribution:
 
     @classmethod
     def point(cls, n: int, i: int) -> "Distribution":
+        if not 0 <= i < n:
+            raise InputError(f"point index {i} outside 0..{n - 1}")
         v = np.zeros(n)
         v[i] = 1.0
         return cls(v)
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
+        if n < 1:
+            raise InputError(f"need at least one state, got n={n}")
         return cls(np.full(n, 1.0 / n))
 
     @classmethod
     def random(cls, n: int, seed=0) -> "Distribution":
+        if n < 1:
+            raise InputError(f"need at least one state, got n={n}")
         rng = np.random.default_rng(seed)
         v = rng.exponential(size=n)
         return cls(v / v.sum())

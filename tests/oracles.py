@@ -11,9 +11,11 @@ its Krylov loop before ``ArnoldiBuilder.expand`` orthogonalized in place,
 went through ``np.loadtxt``, ``stationary_by_phase_alignment``, its
 stationary extraction before LAPACK's real/complex verdict decided alone,
 ``defect_rows_by_gemm``, its defect row sums before they were read
-off the Arnoldi relation, and ``conditional_by_five_rules``, its
-conditional normalization rules before two proven conditions replaced
-them; each is kept as the reference for the change that replaced it.
+off the Arnoldi relation, ``trace_by_padded_rows``, its error trace before
+it weighed a Krylov aggregation's defect by one number, and
+``conditional_by_five_rules``, its conditional normalization rules before
+two proven conditions replaced them; each is kept as the reference for the
+change that replaced it.
 ``orthonormalize_rows`` is a test harness, not a reference: it runs the
 library's ``orthogonalize_step`` over a sequence of vectors.  Matrix
 validation is checked against ``dense_validation_verdict``, plain loops
@@ -27,7 +29,14 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 
-from arnagg.aggregate import CONDITION_TOL, ENTRY_CAP, _defect_rows, exactness_defect
+from arnagg.aggregate import (
+    CONDITION_TOL,
+    ENTRY_CAP,
+    NEVER,
+    ErrorTrace,
+    exactness_defect,
+    normalize,
+)
 from arnagg.arnoldi import DEFLATION_TOL, ArnoldiBuilder, build_aggregation
 from arnagg.errors import (
     ComplexStationary,
@@ -40,7 +49,7 @@ from arnagg.errors import (
     ShapeError,
     ZeroVector,
 )
-from arnagg.mchain import _MM_HEADER, _MM_UNBACKED_MAX
+from arnagg.mchain import _MM_HEADER, _MM_UNBACKED_MAX, _checkpoint_walk, inf_norm
 from arnagg.orthonorm import CGSIR, orthogonality_loss, orthogonalize_step
 from arnagg.schur import _closest_to_one, aggregated_stationary
 
@@ -160,7 +169,7 @@ def dynamic_geev_every_size(p_mat, p0, max_size, epsilon, step_size=1, method=CG
     The pipeline skips ``geev`` at sizes whose inverse-iteration criterion
     estimate is far above epsilon; its stop size, stationary vector,
     criterion and ``ComplexStationary`` must equal this loop's bit for bit.
-    The criterion is the expression every trace reads.
+    The criterion is the one a trace by padded rows reads.
     """
     builder = ArnoldiBuilder(p_mat, p0, max_size, method=method)
     while True:
@@ -176,7 +185,7 @@ def dynamic_geev_every_size(p_mat, p0, max_size, epsilon, step_size=1, method=CG
                                 f"has orthogonality loss {loss:.3e}",)
                     raise
                 continue
-            crit = float(np.abs(agg.stationary) @ _defect_rows(p_mat, agg))
+            crit = float(np.abs(agg.stationary) @ padded_defect_rows(p_mat, agg))
             if crit <= epsilon or builder.done:
                 return replace(agg, criterion=crit)
 
@@ -189,6 +198,56 @@ def defect_rows_by_gemm(p_mat, agg) -> np.ndarray:
     aggregation built by hand.
     """
     return np.abs(exactness_defect(p_mat, agg)).sum(axis=1)
+
+
+def padded_defect_rows(p_mat, agg) -> np.ndarray:
+    """Absolute row sums of ``agg``'s exactness defect, one per aggregated state.
+
+    A Krylov aggregation's rows are zero but the last, its ``residual``; an
+    aggregation built by hand (``residual`` None) gets the GEMM rows.
+    """
+    if agg.residual is None:
+        return defect_rows_by_gemm(p_mat, agg)
+    rows = np.zeros(agg.size)
+    rows[-1] = agg.residual
+    return rows
+
+
+def trace_by_padded_rows(p_mat, p0, agg, ks, policy=NEVER) -> ErrorTrace:
+    """``error_trace`` as it was when every step dotted ``|pi|`` with the defect rows.
+
+    The rows are ``padded_defect_rows``.  ``error_trace`` must give every
+    field of this trace byte for byte: dotting with a vector that is zero
+    but its last entry only adds exact zeros.
+    """
+    rows = padded_defect_rows(p_mat, agg)
+    p = np.asarray(getattr(p0, "values", p0), dtype=float)
+    static_error = float(rows.max())
+    inf_step = inf_norm(agg.step_matrix)
+    pi = agg.initial
+    specific = general = float(np.abs(pi @ agg.disaggregation - p).sum())
+    mass = float(np.abs(pi).sum())
+    errors, bound_specific, bound_general = [], [], []
+    done = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, p_k in zip(ks, _checkpoint_walk(p_mat, p, ks)):
+            for _ in range(k - done):
+                specific += float(np.abs(pi) @ rows)
+                general += mass * static_error
+                mass *= inf_step
+                pi = pi @ agg.step_matrix
+            done = k
+            approx = normalize(pi @ agg.disaggregation, policy).values
+            errors.append(float(np.abs(approx - p_k).sum()))
+            bound_specific.append(specific)
+            bound_general.append(general)
+    criterion = None
+    if agg.stationary is not None:
+        criterion = float(np.abs(agg.stationary) @ rows)
+    return ErrorTrace(steps=np.array(ks, dtype=int), errors=np.array(errors),
+                      bound_specific=np.array(bound_specific),
+                      bound_general=np.array(bound_general),
+                      static_error=static_error, criterion=criterion)
 
 
 def conditional_by_five_rules(v: np.ndarray) -> bool:

@@ -164,13 +164,20 @@ class TestFlagsAreCheckedBeforeTheChain:
          "--n shapes bench's own chain, not one from --input or --gen"),
         (["bench", "--gen", "random:n=5", "--density", 0.5, "--sizes", 2],
          "--density shapes bench's own chain, not one from --input or --gen"),
+        (["bench", "--n", 0, "--sizes", 2], "--n must be >= 1, got 0"),
+        (["bench", "--n", "x", "--sizes", 2], "--n must be an integer, got 'x'"),
+        (["bench", "--density", 0, "--sizes", 2], "--density must be in (0, 1], got 0"),
+        (["bench", "--density", 1.5, "--sizes", 2], "--density must be in (0, 1], got 1.5"),
+        (["bench", "--density", "nan", "--sizes", 2], "--density must be in (0, 1], got nan"),
     ], ids=["threads_trace", "threads_sweep", "descending_ks_trace", "descending_ks_sweep",
             "descending_sizes_bench", "dynamic_without_epsilon", "epsilon_negative",
             "epsilon_nan", "epsilon_inf", "step_size_0", "p0_aggregate", "p0_trace",
             "p0_sweep", "p0_bench", "p0_point_index", "p0_missing_file", "samples_0",
             "samples_without_random_p0", "ks_negative", "size_0", "sizes_from_0",
             "gamma_negative", "out_gen", "out_uniformize", "out_aggregate", "out_trace",
-            "out_sweep", "out_bench", "n_with_input_bench", "density_with_gen_bench"])
+            "out_sweep", "out_bench", "n_with_input_bench", "density_with_gen_bench",
+            "n_0_bench", "n_not_integer_bench", "density_0_bench", "density_above_1_bench",
+            "density_nan_bench"])
     def test_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv, message):
         def never(*args, **kwargs):
             raise AssertionError("a chain was loaded or built before the flags were checked")

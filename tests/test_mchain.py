@@ -742,3 +742,15 @@ class TestDistribution:
         a = Distribution.random(6, seed=8)
         b = Distribution.random(6, seed=8)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("n, i", [(3, -1), (3, 3), (3, 5), (0, 0)])
+    def test_point_index_outside_the_states(self, n, i):
+        with pytest.raises(InputError, match=rf"^point index {i} outside 0\.\.{n - 1}$"):
+            Distribution.point(n, i)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("make", [Distribution.uniform, Distribution.random],
+                             ids=["uniform", "random"])
+    def test_needs_a_state(self, make, n):
+        with pytest.raises(InputError, match=rf"^need at least one state, got n={n}$"):
+            make(n)
