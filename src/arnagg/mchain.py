@@ -9,15 +9,20 @@ validates it through one routine, ``_validated_storage``, so the dense and
 the sparse form of a matrix are accepted or rejected alike.  The I/O reads
 every text file with one numpy loadtxt call and writes every CSV table with
 one writer, so all files share one number grammar and one float format.
+
+``scipy.sparse`` is imported only where a sparse matrix is built, read or
+written: a dense chain never loads it, and ``_issparse`` answers False
+without it, since no object can be a scipy sparse matrix before that
+module is loaded.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatch,
@@ -35,6 +40,12 @@ GENERATOR_TOL = 1e-10
 
 # Full round-trip precision for float64 text serialization.
 FLOAT_FORMAT = "%.17g"
+
+
+def _issparse(m) -> bool:
+    """``scipy.sparse.issparse(m)``, without importing ``scipy.sparse``."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(m)
 
 
 def _unwrap(m):
@@ -78,7 +89,7 @@ class _MatrixBase:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self._m)
+        return _issparse(self._m)
 
     @property
     def shape(self):
@@ -121,11 +132,11 @@ class StochasticMatrix(_MatrixBase):
 
     def __init__(self, m, tol: float = STOCHASTIC_TOL):
         m = _validated_storage(m, tol, generator=False)
-        values = m.data if sp.issparse(m) else m
+        values = m.data if _issparse(m) else m
         small = (values > -tol) & (values < 0.0)
         if small.any():
             values[small] = 0.0
-            if sp.issparse(m):
+            if _issparse(m):
                 m.eliminate_zeros()
         super().__init__(m)
 
@@ -161,7 +172,7 @@ def _validated_storage(m, tol: float, generator: bool):
     """
     kind, target = ("generator", 0.0) if generator else ("transition", 1.0)
     m = _unwrap(m)
-    sparse = sp.issparse(m)
+    sparse = _issparse(m)
     if not sparse:
         m = np.array(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -191,7 +202,7 @@ def _validated_storage(m, tol: float, generator: bool):
 
 def _entry_position(m, k):
     """Row and column of the stored value(s) at row-major index ``k``."""
-    if sp.issparse(m):
+    if _issparse(m):
         return np.searchsorted(m.indptr, k, side="right") - 1, m.indices[k]
     return np.unravel_index(k, m.shape)
 
@@ -220,7 +231,9 @@ class Distribution:
                 raise InputError("strict distribution has non-finite entries")
             if v.min() < -1e-12:
                 raise InputError(f"strict distribution has entry {float(v.min())!r} < -1e-12")
-            s = float(v.sum())
+            # Finite entries may still overflow their sum; inf is reported below.
+            with np.errstate(over="ignore"):
+                s = float(v.sum())
             if abs(s - 1.0) > 1e-10:
                 raise InputError(f"strict distribution sums to {s!r}")
 
@@ -266,6 +279,8 @@ def uniformize(q: GeneratorMatrix, gamma: float | None = None) -> StochasticMatr
     elif gamma < required or gamma <= 0.0:
         raise GammaTooSmall(gamma, required)
     if q.is_sparse:
+        import scipy.sparse as sp
+
         p = sp.eye_array(q.n, format="csr") + q.raw * (1.0 / gamma)
     else:
         p = np.eye(q.n) + q.raw / gamma
@@ -311,7 +326,7 @@ def inf_norm(m) -> float:
 def abs_row_sums(m) -> np.ndarray:
     """Vector of row sums of ``|M|``, i.e. ``|M| @ 1``."""
     m = _unwrap(m)
-    if not sp.issparse(m):
+    if not _issparse(m):
         m = np.asarray(m)
     return np.asarray(abs(m).sum(axis=1)).ravel()
 
@@ -385,6 +400,8 @@ def save_matrix(m, path) -> None:
     """Write a matrix as Matrix Market coordinate (.mtx) or dense CSV (.csv)."""
     m = _unwrap(m)
     if not _is_csv(path):
+        import scipy.sparse as sp
+
         coo = sp.coo_array(m)
         with open(path, "w") as fh:
             fh.write(_MM_HEADER + "\n")
@@ -392,7 +409,7 @@ def save_matrix(m, path) -> None:
             for i, j, x in zip(coo.row, coo.col, coo.data):
                 fh.write(f"{i + 1} {j + 1} {FLOAT_FORMAT % x}\n")
     else:
-        _write_csv(path, np.atleast_2d(m.toarray() if sp.issparse(m) else np.asarray(m)))
+        _write_csv(path, np.atleast_2d(m.toarray() if _issparse(m) else np.asarray(m)))
 
 
 def _parse_matrixmarket(path):
@@ -439,6 +456,8 @@ def _parse_matrixmarket(path):
                          f"(entry {k + 1} of the file)")
     if len(entries) != dims[2]:
         raise ShapeError(f"header declares {dims[2]} entries, file has {len(entries)}")
+    import scipy.sparse as sp
+
     return sp.coo_array((entries["value"], (i - 1, j - 1)), shape=(dims[0], dims[1])).tocsr()
 
 

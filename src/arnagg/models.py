@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EpsilonOutOfRange, InputError, InvalidCoupling, ShapeError
 from .mchain import Distribution, StochasticMatrix
@@ -109,6 +108,8 @@ def random_chain(n: int, density: float = 1.0, seed=0, sparse: bool = False) -> 
         w = rng.exponential(size=per_row)
         vals[sel] = w / w.sum()
     if sparse:
+        import scipy.sparse as sp
+
         m = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
     else:
         m = np.zeros((n, n))

@@ -384,6 +384,14 @@ class TestAggregate:
         assert "2 columns, expected 1" in capsys.readouterr().err
         assert not list(tmp_path.glob("agg*"))
 
+    def test_p0_file_whose_sum_overflows_exits_2(self, tmp_path, capsys):
+        p0 = tmp_path / "big.csv"
+        p0.write_text("1e308\n1e308\n0\n")
+        assert run("aggregate", "--gen", "random:n=3", "--p0", f"file:{p0}", "--size", 1,
+                   "--out", tmp_path / "agg") == 2
+        assert capsys.readouterr().err == f"error: --p0 file:{p0}: strict distribution sums to inf\n"
+        assert not list(tmp_path.glob("agg*"))
+
     def test_non_integer_point_index_exits_2(self, tmp_path, capsys):
         assert run("aggregate", "--gen", "random:n=6,density=0.5", "--p0", "point:abc",
                    "--size", 3, "--out", tmp_path / "agg") == 2

@@ -736,6 +736,11 @@ class TestDistribution:
             Distribution(np.array([np.nan, 1.0]))
         Distribution(np.array([np.nan, 1.0]), strict=False)
 
+    def test_strict_sum_overflow_is_an_input_error(self):
+        # The finite entries overflow their sum; numpy must not warn first.
+        with pytest.raises(InputError, match=r"^strict distribution sums to inf$"):
+            Distribution(np.array([1e308, 1e308, 0.0]))
+
     def test_constructors(self):
         assert np.array_equal(Distribution.point(3, 1).values, [0.0, 1.0, 0.0])
         assert np.allclose(Distribution.uniform(4).values, 0.25)
