@@ -39,6 +39,8 @@ from .mchain import (
     Distribution,
     StochasticMatrix,
     _checkpoint_walk,
+    _integer,
+    _start_vector,
     as_vector,
     inf_norm,
     weighted_abs_row_sums,
@@ -143,20 +145,24 @@ def normalize(p, policy: NormalizationPolicy) -> Distribution:
     return Distribution(v, strict=False)
 
 
-def aggregated_step(agg: Aggregation, pi_k) -> np.ndarray:
-    """One aggregated step, ``pi_k @ step_matrix``."""
+def _aggregated_vector(agg: Aggregation, pi_k) -> np.ndarray:
+    """``pi_k`` as a finite vector with one entry per aggregated state of ``agg``."""
     pi_k = as_vector(pi_k)
     if pi_k.shape[0] != agg.size:
         raise DimensionMismatch(f"vector of length {pi_k.shape[0]} against size {agg.size}")
-    return pi_k @ agg.step_matrix
+    if not np.isfinite(pi_k).all():
+        raise InputError("aggregated vector has non-finite entries")
+    return pi_k
+
+
+def aggregated_step(agg: Aggregation, pi_k) -> np.ndarray:
+    """One aggregated step, ``pi_k @ step_matrix``, of a finite ``pi_k`` of length ``agg.size``."""
+    return _aggregated_vector(agg, pi_k) @ agg.step_matrix
 
 
 def approximate(agg: Aggregation, pi_k, policy: NormalizationPolicy = NEVER) -> Distribution:
     """Disaggregate an aggregated vector and apply the normalization policy."""
-    pi_k = as_vector(pi_k)
-    if pi_k.shape[0] != agg.size:
-        raise DimensionMismatch(f"vector of length {pi_k.shape[0]} against size {agg.size}")
-    return normalize(pi_k @ agg.disaggregation, policy)
+    return normalize(_aggregated_vector(agg, pi_k) @ agg.disaggregation, policy)
 
 
 def exactness_defect(p_mat: StochasticMatrix, agg: Aggregation) -> np.ndarray:
@@ -196,10 +202,10 @@ def error_trace(p_mat: StochasticMatrix, p0, agg: Aggregation, ks,
                 policy: NormalizationPolicy = NEVER) -> ErrorTrace:
     """Walk chain and aggregation in lockstep, recording errors and bounds.
 
-    ``ks`` must be ascending step counts.  The chain is walked once, to
-    ``ks[-1]``; the aggregated vector takes the same steps next to it.  Of
-    the exactness defect only the absolute row sums are used; for a Krylov
-    aggregation every one is 0 but the last, ``agg.residual``, so
+    ``ks`` must be ascending integers >= 0 and ``p0`` finite.  The chain is
+    walked once, to ``ks[-1]``; the aggregated vector takes the same steps
+    next to it.  Of the exactness defect only the absolute row sums are used;
+    for a Krylov aggregation every one is 0 but the last, ``agg.residual``, so
     ``static_error``, ``criterion`` and the bounds agree with the
     materialised defect up to ``relation_residual``.  The initial error
     feeding both bounds is measured, not assumed zero, which doubles as a
@@ -218,16 +224,12 @@ def _error_traces(p_mat: StochasticMatrix, p0, aggs, ks,
     every aggregation's walk catches up with the chain, so each trace takes
     the same steps, in the same order, as on its own.
     """
-    ks = [int(k) for k in ks]
-    if not ks:
-        raise InputError("no step counts requested")
-    if any(k < 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise InputError(f"step counts must be ascending and nonnegative: {ks}")
-    p = as_vector(p0)
-    if p.shape[0] != p_mat.n or any(agg.n_states != p_mat.n for agg in aggs):
-        raise DimensionMismatch("chain, start vector, and aggregation disagree on n")
-    if not np.isfinite(p).all():
-        raise InputError("start vector has non-finite entries")
+    ks = [_integer("step count", k, 0) for k in ks]
+    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise InputError(f"step counts must be nonempty and strictly ascending: {ks}")
+    p = _start_vector(p_mat, p0)
+    if any(agg.n_states != p_mat.n for agg in aggs):
+        raise DimensionMismatch(f"an aggregation and the {p_mat.n}-state chain disagree on n")
 
     walks = [_AggregatedWalk(p_mat, p, agg, len(ks), policy) for agg in aggs]
     done = 0
@@ -392,8 +394,7 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     ComplexStationary is raised only if the final size still has one; its
     message then also gives the orthogonality loss of the final basis.
     """
-    if step_size < 1:
-        raise InputError(f"step_size must be >= 1, got {step_size}")
+    _integer("step_size", step_size, 1)
     if not 0.0 < epsilon < np.inf:
         raise InputError(f"epsilon must be positive and finite, got {epsilon!r}")
     builder = ArnoldiBuilder(p_mat, p0, max_size, method=method)

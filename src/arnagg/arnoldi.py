@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, ZeroInitialVector
-from .mchain import StochasticMatrix, as_vector, inf_norm
+from .errors import InputError, ZeroInitialVector
+from .mchain import StochasticMatrix, _integer, _start_vector, as_vector, inf_norm
 # ``orthogonalize_step`` stays importable from this module, where callers
 # have looked it up; ``expand`` calls the helper behind it.
 from .orthonorm import CGSIR, OrthMethod, _orthogonalize, orthogonalize_step
@@ -101,14 +101,9 @@ class ArnoldiBuilder:
 
     def __init__(self, p_mat: StochasticMatrix, p0, max_size: int,
                  method: OrthMethod = CGSIR):
-        v = as_vector(p0)
-        n = p_mat.n
-        if v.shape[0] != n:
-            raise DimensionMismatch(f"p0 has length {v.shape[0]}, chain has {n} states")
-        if not np.isfinite(v).all():
-            raise InputError("start vector has non-finite entries")
-        if not 1 <= max_size <= n:
-            raise InputError(f"target size {max_size} outside 1..{n}")
+        v = _start_vector(p_mat, p0)
+        if _integer("target size", max_size, 1) > p_mat.n:
+            raise InputError(f"target size {max_size} outside 1..{p_mat.n}")
         nrm = float(np.linalg.norm(v))
         if nrm == 0.0:
             raise ZeroInitialVector("initial vector has zero 2-norm")
@@ -117,7 +112,7 @@ class ArnoldiBuilder:
         self.method = method
         self.deflated = False
         capacity = min(max_size, _FIRST_CAPACITY)
-        self._q = np.zeros((capacity + 1, n))
+        self._q = np.zeros((capacity + 1, p_mat.n))
         self._h = np.zeros((capacity, capacity + 1))
         self._q[0] = v / nrm
         self._steps = 0

@@ -52,6 +52,7 @@ from .mchain import (
     FLOAT_FORMAT,
     Distribution,
     StochasticMatrix,
+    _integer,
     _write_csv,
     load_distribution,
     load_matrix,
@@ -80,12 +81,9 @@ def _int(flag: str, low: int):
     """The argparse type of ``flag``: an integer >= low."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            return _integer(flag, int(text), low)
         except ValueError:
             raise InputError(f"{flag} must be an integer, got {text!r}") from None
-        if value < low:
-            raise InputError(f"{flag} must be >= {low}, got {value}")
-        return value
     return parse
 
 

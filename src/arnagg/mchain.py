@@ -18,6 +18,7 @@ module is loaded.
 
 from __future__ import annotations
 
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -61,6 +62,27 @@ def as_vector(p) -> np.ndarray:
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
     return v
+
+
+def _start_vector(p_mat: StochasticMatrix, p0) -> np.ndarray:
+    """``p0`` as a finite vector with one entry per state of ``p_mat``."""
+    v = as_vector(p0)
+    if v.shape[0] != p_mat.n:
+        raise DimensionMismatch(f"p0 has length {v.shape[0]}, chain has {p_mat.n} states")
+    if not np.isfinite(v).all():
+        raise InputError("start vector has non-finite entries")
+    return v
+
+
+def _integer(name: str, value, low: int) -> int:
+    """``value`` as an int >= ``low``; a float or a string is an InputError, never truncated."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 class _MatrixBase:
@@ -220,9 +242,7 @@ class Distribution:
     strict: bool = True
 
     def __post_init__(self):
-        v = np.array(np.asarray(self.values, dtype=float), copy=True)
-        if v.ndim != 1:
-            raise DimensionMismatch(f"distribution must be 1-D, got shape {v.shape}")
+        v = as_vector(self.values).copy()
         object.__setattr__(self, "values", v)
         if self.strict:
             if v.size == 0:
@@ -288,16 +308,13 @@ def uniformize(q: GeneratorMatrix, gamma: float | None = None) -> StochasticMatr
 
 
 def transient(p_mat: StochasticMatrix, p0, k: int) -> Distribution:
-    """k-step transient distribution ``p0 @ P^k``.
+    """k-step transient distribution ``p0 @ P^k``, for an integer k >= 0 and a finite p0.
 
     Computed as k successive vector-matrix products (``_checkpoint_walk``),
-    never through matrix powers.
+    never through matrix powers, from a ``p0`` strict or not.
     """
-    if k < 0:
-        raise InputError(f"step count must be >= 0, got {k}")
-    v = as_vector(p0)
-    if v.shape[0] != p_mat.n:
-        raise DimensionMismatch(f"p0 has length {v.shape[0]}, chain has {p_mat.n} states")
+    k = _integer("step count", k, 0)
+    v = _start_vector(p_mat, p0)
     strict = p0.strict if isinstance(p0, Distribution) else True
     return Distribution(next(_checkpoint_walk(p_mat, v, [k])), strict=strict)
 
@@ -509,16 +526,13 @@ def load_matrix(path, kind: str = "stochastic"):
     """Load a .mtx or .csv matrix and validate it as the requested kind.
 
     kind is one of 'stochastic', 'generator', or 'raw' (no validation,
-    returns the bare ndarray or CSR matrix).
+    returns the bare ndarray or CSR matrix), and is checked before the file
+    is read.
     """
-    m = _parse_csv_matrix(path) if _is_csv(path) else _parse_matrixmarket(path)
-    if kind == "raw":
-        return m
-    if kind == "stochastic":
-        return StochasticMatrix(m)
-    if kind == "generator":
-        return GeneratorMatrix(m)
-    raise InputError(f"unknown matrix kind {kind!r}")
+    kinds = {"raw": lambda m: m, "stochastic": StochasticMatrix, "generator": GeneratorMatrix}
+    if kind not in kinds:
+        raise InputError(f"unknown matrix kind {kind!r}")
+    return kinds[kind](_parse_csv_matrix(path) if _is_csv(path) else _parse_matrixmarket(path))
 
 
 def save_distribution(d, path) -> None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, InputError
+from .mchain import as_vector
 
 # Re-pass threshold of the *ir variants: the second pass runs iff the
 # residual norm after pass one drops below KAPPA * norm(v).
@@ -73,14 +74,12 @@ class OrthStepResult:
     residual_norm: float
 
 
-def _as_basis(basis, n: int) -> np.ndarray:
-    if isinstance(basis, np.ndarray) and basis.ndim == 2:
-        q = basis
-    elif len(basis) == 0:
-        return np.empty((0, n))
-    else:
-        q = np.vstack(basis)
-    if q.shape[1] != n:
+def _as_basis(basis, n: int = 0) -> np.ndarray:
+    """``basis``, a 2-D array or a sequence of rows (of length ``n``, if given), as a 2-D array."""
+    q = np.asarray(basis, dtype=float) if len(basis) else np.empty((0, n))
+    if q.ndim != 2:
+        raise DimensionMismatch(f"a basis is a 2-D array of rows, got shape {q.shape}")
+    if n and q.shape[1] != n:
         raise DimensionMismatch(f"basis vectors of length {q.shape[1]}, input of length {n}")
     return q
 
@@ -130,26 +129,19 @@ def orthogonalize_step(v, basis, method: OrthMethod = CGSIR) -> OrthStepResult:
     vector per row).  At most two projection passes are run, with the
     coefficient vectors of both passes summed.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
-    if v.shape[0] == 0:
+    r = as_vector(v).copy()
+    if r.shape[0] == 0:
         raise EmptyInput("cannot orthogonalize a length-0 vector")
-    q = _as_basis(basis, v.shape[0])
-    r = v.copy()
-    h, r_norm, _ = _orthogonalize(r, q, method)
+    h, r_norm, _ = _orthogonalize(r, _as_basis(basis, r.shape[0]), method)
     return OrthStepResult(r, h, r_norm)
 
 
 def orthogonality_loss(basis) -> float:
-    """Largest deviation of the basis Gram matrix from the identity."""
-    if isinstance(basis, np.ndarray) and basis.ndim == 2:
-        q = basis
-    else:
-        if len(basis) == 0:
-            raise EmptyInput("empty basis")
-        q = np.vstack([np.asarray(v, dtype=float) for v in basis])
+    """Largest deviation of the basis Gram matrix from the identity.
+
+    ``basis`` is a 2-D array of rows or a list of rows; a 1-D array is no basis.
+    """
+    q = _as_basis(basis)
     if q.shape[0] == 0:
         raise EmptyInput("empty basis")
-    gram = q @ q.T
-    return float(np.max(np.abs(gram - np.eye(q.shape[0]))))
+    return float(np.max(np.abs(q @ q.T - np.eye(q.shape[0]))))

@@ -124,6 +124,14 @@ class TestAggregatedStep:
         with pytest.raises(DimensionMismatch):
             aggregated_step(agg, np.ones(2))
 
+    @pytest.mark.parametrize("entry", [aggregated_step, approximate])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_vector_rejected(self, entry, bad):
+        p = random_chain(6, 0.5, seed=1)
+        agg = pipeline_naive(p, Distribution.uniform(6), 2)
+        with pytest.raises(InputError, match="^aggregated vector has non-finite entries$"):
+            entry(agg, [bad, 1.0])
+
 
 class TestApproximate:
     def test_step_zero_reproduces_start(self, rng):
@@ -330,7 +338,7 @@ class TestRescalingRules:
     """Sufficient conditions for rescaling, against generated distributions."""
 
     @pytest.mark.parametrize("rule", list(RESCALING_RULES))
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(rescaling_cases())
     def test_rescaling_does_not_raise_the_error(self, rule, case):
         v, exact, i, t = case
@@ -338,7 +346,7 @@ class TestRescalingRules:
         assume(v is not None)
         assert rescaling_does_not_hurt(v, exact)
 
-    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=1000)
     @given(five_rule_cases())
     def test_conditional_rescales_what_the_five_rules_rescale(self, v):
         assert _should_normalize(v, CONDITIONAL) or not conditional_by_five_rules(v)
@@ -444,6 +452,23 @@ class TestErrorTrace:
         with pytest.raises(InputError):
             error_trace(p, p0, agg, [])
 
+    @pytest.mark.parametrize("ks, got", [
+        ([0, 2.5], "2.5"), ([np.nan], "nan"), ([np.inf], "inf"), (["3"], "'3'"),
+    ], ids=["fraction", "nan", "inf", "string"])
+    def test_ks_must_be_integers(self, ks, got):
+        # A step count is never truncated: [0, 2.5] used to read step 2.
+        p, p0 = counterexample(0.5)
+        agg = pipeline_naive(p, p0, 1)
+        with pytest.raises(InputError, match=f"^step count must be an integer, got {got}$"):
+            error_trace(p, p0, agg, ks)
+
+    def test_aggregation_of_another_chain_rejected(self):
+        p, p0 = counterexample(0.5)
+        other = random_chain(4, 1.0, seed=2)
+        agg = pipeline_naive(other, Distribution.uniform(4), 2)
+        with pytest.raises(DimensionMismatch, match="disagree on n"):
+            error_trace(p, p0, agg, [0, 1])
+
     def test_policy_applies_to_recorded_errors(self):
         # the aggregated image of the counterexample is exactly zero from
         # step one on, so forcing unit norm there is a contract violation
@@ -517,7 +542,7 @@ def bound_case_trace(case) -> ErrorTrace:
 
 
 class TestErrorTraces:
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80)
     @given(shared_walk_cases())
     def test_shared_walk_matches_one_trace_per_aggregation(self, case):
         p, p0, aggs, ks, policy = case
@@ -612,7 +637,7 @@ def step_sums(agg, ks, weight):
 
 
 class TestDefectRows:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(nested_block_cases())
     def test_relation_rows_match_the_gemm_defect(self, case):
         p, p0, facts, ks = case
@@ -659,7 +684,7 @@ class TestDefectRows:
 
 
 class TestOneDefectNumber:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(nested_block_cases(), st.sampled_from([NEVER, CONDITIONAL, ALWAYS]))
     def test_trace_equals_the_padded_rows_walk(self, case, policy):
         p, p0, facts, ks = case
@@ -687,7 +712,7 @@ class TestOneDefectNumber:
 class TestBoundChainProperty:
     """Acceptance criterion 4's chain of bounds, with its tolerances, beyond its seeds."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(bound_cases())
     def test_error_below_specific_bound(self, case):
         tr = bound_case_trace(case)
@@ -698,8 +723,7 @@ class TestBoundChainProperty:
     COINCIDING_BOUNDS = (StochasticMatrix(np.array([[0.0, 1.0], [0.0, 1.0]])),
                          Distribution(np.array([0.36, 0.64])), 1, CGSIR, [150])
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
-              phases=[Phase.explicit, Phase.generate])
+    @settings(max_examples=100, phases=[Phase.explicit, Phase.generate])
     @example(COINCIDING_BOUNDS)
     @given(bound_cases())
     def test_specific_below_general_bound(self, case):
@@ -885,7 +909,7 @@ class TestCriterionEstimate:
             assert np.array_equal(got[1], want[1])
             assert got[2] == want[2]
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(dynamic_cases())
     def test_margin_keeps_every_result_of_geev_at_every_size(self, case):
         args, kwargs = case
@@ -1055,3 +1079,8 @@ class TestPipelineDynamic:
                 pipeline_dynamic(p, p0, 3, epsilon)
         with pytest.raises(InputError):
             pipeline_dynamic(p, p0, 3, 1e-8, step_size=0)
+
+    def test_step_size_must_be_an_integer(self):
+        p, p0 = counterexample(0.5)
+        with pytest.raises(InputError, match="^step_size must be an integer, got 2.5$"):
+            pipeline_dynamic(p, p0, 3, 1e-8, step_size=2.5)

@@ -68,6 +68,11 @@ class TestArnoldiIterate:
         with pytest.raises(InputError):
             arnoldi_iterate(p, Distribution.uniform(3), 0)
 
+    def test_size_must_be_an_integer(self):
+        p = StochasticMatrix(np.eye(3))
+        with pytest.raises(InputError, match="^target size must be an integer, got 2.5$"):
+            ArnoldiBuilder(p, Distribution.uniform(3), 2.5)
+
     def test_dimension_mismatch(self):
         p = StochasticMatrix(np.eye(3))
         with pytest.raises(DimensionMismatch):

@@ -133,6 +133,8 @@ class TestFlagsAreCheckedBeforeTheChain:
          "--epsilon must be positive and finite, got nan"),
         (["aggregate", *INPUT, "--size", 5, "--pipeline", "dynamic", "--epsilon", "inf"],
          "--epsilon must be positive and finite, got inf"),
+        (["aggregate", *INPUT, "--size", 5, "--pipeline", "dynamic", "--epsilon", "abc"],
+         "--epsilon must be a number, got 'abc'"),
         (["aggregate", *INPUT, "--size", 5, "--pipeline", "dynamic", "--epsilon", 1e-8,
           "--step-size", 0], "--step-size must be >= 1, got 0"),
         (["aggregate", *INPUT, "--size", 2, "--p0", "bogus"], "--p0: unknown start 'bogus'"),
@@ -149,6 +151,8 @@ class TestFlagsAreCheckedBeforeTheChain:
         (["sweep", *INPUT, "--sizes", "1,2", "--samples", 2, "--p0", "uniform"],
          "--samples > 1 requires --p0 random"),
         (["trace", *INPUT, "--size", 2, "--ks", -1], "--ks values must be >= 0, got -1"),
+        (["trace", *INPUT, "--size", 2, "--ks", "a..b"], "--ks: bad value or range 'a..b'"),
+        (["aggregate", "--gen", "random:n", "--size", 2], "bad generator parameter 'n'"),
         (["aggregate", *INPUT, "--size", 0], "--size must be >= 1, got 0"),
         (["sweep", *INPUT, "--sizes", "0..4"], "--sizes values must be >= 1, got 0"),
         (["uniformize", *INPUT, "--gamma", -1], "--gamma must be positive and finite, got -1"),
@@ -171,9 +175,10 @@ class TestFlagsAreCheckedBeforeTheChain:
         (["bench", "--density", "nan", "--sizes", 2], "--density must be in (0, 1], got nan"),
     ], ids=["threads_trace", "threads_sweep", "descending_ks_trace", "descending_ks_sweep",
             "descending_sizes_bench", "dynamic_without_epsilon", "epsilon_negative",
-            "epsilon_nan", "epsilon_inf", "step_size_0", "p0_aggregate", "p0_trace",
-            "p0_sweep", "p0_bench", "p0_point_index", "p0_missing_file", "samples_0",
-            "samples_without_random_p0", "ks_negative", "size_0", "sizes_from_0",
+            "epsilon_nan", "epsilon_inf", "epsilon_not_a_number", "step_size_0",
+            "p0_aggregate", "p0_trace", "p0_sweep", "p0_bench", "p0_point_index",
+            "p0_missing_file", "samples_0", "samples_without_random_p0", "ks_negative",
+            "ks_bad_range", "gen_parameter_without_value", "size_0", "sizes_from_0",
             "gamma_negative", "out_gen", "out_uniformize", "out_aggregate", "out_trace",
             "out_sweep", "out_bench", "n_with_input_bench", "density_with_gen_bench",
             "n_0_bench", "n_not_integer_bench", "density_0_bench", "density_above_1_bench",

@@ -25,6 +25,7 @@ from arnagg.mchain import (
     StochasticMatrix,
     _checkpoint_walk,
     _parse_matrixmarket,
+    as_vector,
     inf_norm,
     load_distribution,
     load_matrix,
@@ -269,7 +270,7 @@ def duplicate_split_coo(m):
 
 
 class TestValidationAcrossStorages:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(validation_cases())
     def test_every_storage_gets_the_dense_reference_verdict(self, case):
         m, generator, tol = case
@@ -321,6 +322,21 @@ class TestTransient:
         p = StochasticMatrix(np.eye(3))
         with pytest.raises(InputError):
             transient(p, Distribution.uniform(3), -1)
+
+    @pytest.mark.parametrize("k", [2.5, np.nan, "3"], ids=["fraction", "nan", "string"])
+    def test_step_count_must_be_an_integer(self, k):
+        p = StochasticMatrix(np.eye(3))
+        with pytest.raises(InputError, match="^step count must be an integer, got "):
+            transient(p, Distribution.uniform(3), k)
+
+    @pytest.mark.parametrize("p0", [
+        Distribution(np.array([np.nan, 1.0, 0.0, 0.0]), strict=False),
+        np.array([np.inf, 0.0, 1.0, 0.0]),
+    ], ids=["nan_non_strict", "inf_array"])
+    def test_non_finite_start_vector_rejected(self, p0):
+        p = random_chain(4, 1.0, seed=1)
+        with pytest.raises(InputError, match="^start vector has non-finite entries$"):
+            transient(p, p0, 3)
 
     def test_checkpoint_walk_yields_transient_at_each_step_count(self):
         p = random_chain(30, 0.3, seed=13, sparse=True)
@@ -405,6 +421,14 @@ class TestStorageEquivalence:
         assert np.allclose(a @ StochasticMatrix(sp.csr_array(p.raw)).raw, a @ p.toarray(),
                            atol=1e-14)
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_products_reject_the_wrong_length(self, sparse):
+        p = random_chain(3, 1.0, seed=4, sparse=sparse)
+        with pytest.raises(DimensionMismatch, match="^vector of length 4 against 3 states$"):
+            p.vec_mul(np.ones(4))
+        with pytest.raises(DimensionMismatch, match="^matrix with 4 columns against 3 states$"):
+            p.mat_mul(np.ones((2, 4)))
+
     def test_rmatmul_sugar(self):
         # No ``v @ p`` sugar: an ndarray operand raises, never an object array.
         v = np.array([0.2, 0.3, 0.5])
@@ -438,7 +462,7 @@ class TestMatrixIO:
         again = load_matrix(path)
         assert np.array_equal(again.toarray(), p.toarray())
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(chains(), st.sampled_from(["mtx", "csv"]))
     def test_save_load_round_trips_generated_chains(self, tmp_path_factory, p, suffix):
         path = tmp_path_factory.mktemp("round_trip") / f"p.{suffix}"
@@ -522,6 +546,14 @@ class TestMatrixIO:
         with pytest.raises(ParseError, match="empty file") as err:
             load_matrix(path)
         assert err.value.line == 1
+
+    def test_unknown_kind_is_rejected_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(InputError, match="^unknown matrix kind 'bogus'$"):
+            load_matrix(tmp_path / "missing.mtx", kind="bogus")
+
+    def test_path_without_a_known_suffix_is_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="cannot infer format"):
+            load_matrix(tmp_path / "p.txt")
 
     def test_load_as_generator_and_raw(self, tmp_path):
         q = np.array([[-1.0, 1.0], [2.0, -2.0]])
@@ -639,6 +671,18 @@ class TestMatrixMarketReader:
         assert f"entry 2 '{entry}'" in str(err.value)
         assert "usecols" not in str(err.value) and err.value.line == 3
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "empty file"),
+        (f"{MM_HEADER}\n% comment\n2 -2 0\n", 3, "negative size '2 -2 0'"),
+        (f"{MM_HEADER}\n% only comments\n\n", 3, "missing size line"),
+    ], ids=["empty_file", "negative_size", "no_size_line"])
+    def test_bad_or_missing_size_line_is_parse_error(self, tmp_path, text, line, message):
+        path = tmp_path / "m.mtx"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message) as err:
+            load_matrix(path)
+        assert err.value.line == line
+
     def test_first_entry_outside_shape_is_reported(self, tmp_path):
         path = mm_file(tmp_path, "2 3 4", "1 1 1.0", "1 4 1.0", "0 1 1.0", "2 2 1.0")
         with pytest.raises(ShapeError, match=r"entry \(1, 4\) outside declared 2x3 shape"):
@@ -690,7 +734,7 @@ class TestMatrixMarketReader:
             load_matrix(path, kind="raw")
         assert err.value.line == 3
 
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     @given(mutated_mm_files())
     def test_agrees_with_streaming_parser(self, tmp_path_factory, case):
         text, faults, comment_in_entries = case
@@ -735,6 +779,17 @@ class TestDistribution:
         with pytest.raises(InputError, match="non-finite"):
             Distribution(np.array([np.nan, 1.0]))
         Distribution(np.array([np.nan, 1.0]), strict=False)
+
+    def test_strict_rejects_empty(self):
+        with pytest.raises(InputError, match="^empty distribution$"):
+            Distribution(np.array([]))
+        assert len(Distribution(np.array([]), strict=False)) == 0
+
+    def test_vector_must_be_one_dimensional(self):
+        with pytest.raises(DimensionMismatch, match=r"^expected a vector, got shape \(2, 2\)$"):
+            as_vector(np.eye(2))
+        with pytest.raises(DimensionMismatch, match="^expected a vector"):
+            Distribution(np.eye(2), strict=False)
 
     def test_strict_sum_overflow_is_an_input_error(self):
         # The finite entries overflow their sum; numpy must not warn first.

@@ -47,6 +47,14 @@ class TestNcdCompose:
         with pytest.raises(InvalidCoupling, match=r"^entry \(1, 1\) = -0\.25 falls outside"):
             ncd_compose(spec)
 
+    def test_needs_a_block(self):
+        with pytest.raises(InputError, match="^need at least one block$"):
+            NcdSpec(blocks=(), coupling=np.zeros((0, 0)), epsilon=0.1)
+
+    def test_coupling_must_be_square(self):
+        with pytest.raises(ShapeError, match=r"^coupling matrix must be square, got \(2, 3\)$"):
+            NcdSpec(blocks=(np.eye(2),), coupling=np.zeros((2, 3)), epsilon=0.1)
+
     def test_block_sizes_must_cover_coupling(self):
         with pytest.raises(ShapeError):
             NcdSpec(blocks=(np.eye(2),), coupling=np.zeros((3, 3)), epsilon=0.1)
@@ -124,6 +132,10 @@ class TestRandomNcd:
             mask[b * 10:(b + 1) * 10, b * 10:(b + 1) * 10] = False
         off_block_mass = (p * mask).sum(axis=1)
         assert off_block_mass.max() <= 1e-3
+
+    def test_needs_a_block_of_a_state(self):
+        with pytest.raises(InputError, match="^need at least one block of at least one state$"):
+            random_ncd(0, 3, 1e-3)
 
     def test_determinism(self):
         a = random_ncd(2, 5, 1e-3, seed=8)

@@ -160,6 +160,11 @@ class TestOrthogonalityLoss:
         with pytest.raises(EmptyInput):
             orthogonality_loss([])
 
+    def test_one_dimensional_array_is_no_basis(self):
+        # Read row by row, [1, 2] would be two 1-entry rows with loss 3.
+        with pytest.raises(DimensionMismatch, match=r"^a basis is a 2-D array of rows"):
+            orthogonality_loss(np.array([1.0, 2.0]))
+
 
 class TestStabilityProperties:
     def test_all_methods_keep_loss_small_on_well_conditioned_input(self, rng):

@@ -113,6 +113,10 @@ class TestSchurDecompose:
         with pytest.raises(ShapeError):
             schur_decompose(np.ones((2, 3)))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ShapeError, match="^empty matrix$"):
+            schur_decompose(np.zeros((0, 0)))
+
     def test_no_convergence_when_lapack_fails(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
@@ -303,7 +307,7 @@ def stationary_or_verdict(extract, agg):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=50)
 @given(case=stationary_cases())
 def test_exact_rule_matches_phase_alignment_at_every_size(variant, case):
     p, p0 = case
