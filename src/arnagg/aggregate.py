@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arnoldi import (
+    _FIRST_CAPACITY,
     Aggregation,
     ArnoldiBuilder,
     arnoldi_iterate,
@@ -328,30 +329,67 @@ def pipeline_schur(p_mat: StochasticMatrix, p0, size: int,
     return aggregated_stationary(pipeline_naive(p_mat, p0, size, method=method))
 
 
-def _estimated_criterion(hessenberg: np.ndarray, residual: float, x: np.ndarray,
+def _border(inverse: np.ndarray, hessenberg: np.ndarray, max_size: int) -> np.ndarray | None:
+    """Grow ``W = (H^T - I)^-1`` by the last row and column of the j x j ``hessenberg``.
+
+    ``inverse[:j-1, :j-1]`` holds W of the leading (j-1) x (j-1) block; the
+    result's ``[:j, :j]`` holds W of all of it.  The result is ``inverse``,
+    or, when j overruns it, a copy with twice the storage, up to
+    ``max_size``.  In the row convention the new column of ``H^T - I`` is
+    the step-coefficient row ``u = H[j-1, :j-1]``, and its new row has one
+    off-diagonal entry, ``c = H[j-2, j-1]``.  So the bordered inverse
+    (Golub & Van Loan, Matrix Computations, on bordered systems) needs the
+    Schur complement ``s = H[j-1, j-1] - 1 - c (Wu)[j-2]``, one matvec and
+    one rank-1 update: ``W + (Wu)(c W[j-2]) / s`` bordered by the row
+    ``-c W[j-2] / s``, the column ``-Wu / s`` and the corner ``1 / s``.
+    O(j^2).  None when ``s`` is zero or not finite.
+    """
+    j = hessenberg.shape[0]
+    if j > len(inverse):
+        grown = np.empty((min(2 * len(inverse), max_size),) * 2)
+        grown[:j - 1, :j - 1] = inverse
+        inverse = grown
+    w = inverse[:j - 1, :j - 1]
+    with np.errstate(all="ignore"):
+        if j == 1:
+            s = hessenberg[0, 0] - 1.0
+        else:
+            wu = w @ hessenberg[j - 1, :j - 1]
+            c = hessenberg[j - 2, j - 1]
+            cw = c * w[j - 2]
+            s = (hessenberg[j - 1, j - 1] - 1.0) - c * wu[j - 2]
+        if s == 0.0 or not np.isfinite(s):
+            return None
+        if j > 1:
+            row = cw / s
+            w += np.outer(wu, row)
+            inverse[j - 1, :j - 1] = -row
+            inverse[:j - 1, j - 1] = wu / -s
+        inverse[j - 1, j - 1] = 1.0 / s
+    return inverse
+
+
+def _estimated_criterion(inverse: np.ndarray, residual: float, x: np.ndarray,
                          row_sums: np.ndarray) -> float | None:
     """The criterion after two inverse-iteration steps on ``H^T - I`` from ``x``.
 
-    ``residual`` is ``residual_norm * ||residual_direction||_1``, the one
-    nonzero defect row sum.  Shift 1
-    is the known eigenvalue (Golub & Van Loan, section 7.6).  The iterate
-    ``z`` is scaled by ``|z @ row_sums|``, where ``row_sums`` holds the row
-    sums of the basis: that is the sum of the image ``z Q``, its 1-norm
-    when the image is nonnegative, which it is up to rounding near the stop
-    size.  So the estimate costs O(j^2) and reads no basis row.  A finite
-    iterate overwrites ``x`` as the next warm start.  None when a solve
-    fails or ``|x_j|`` moved by more than half over the second step.
+    ``inverse`` is ``(H^T - I)^-1``, grown by ``_border``, so a step is one
+    matvec.  ``residual`` is ``residual_norm * ||residual_direction||_1``,
+    the one nonzero defect row sum.  Shift 1 is the known eigenvalue
+    (Golub & Van Loan, section 7.6).  The iterate ``z`` is scaled by
+    ``|z @ row_sums|``, where ``row_sums`` holds the row sums of the basis:
+    that is the sum of the image ``z Q``, its 1-norm when the image is
+    nonnegative, which it is up to rounding near the stop size.  So the
+    estimate costs O(j^2) and reads no basis row.  A finite iterate
+    overwrites ``x`` as the next warm start.  None when the iterate is not
+    finite or ``|x_j|`` moved by more than half over the second step.
     """
-    shifted = hessenberg.T - np.eye(hessenberg.shape[0])
-    try:
-        with np.errstate(all="ignore"):
-            y = np.linalg.solve(shifted, x)
-            y /= np.sqrt(y @ y)
-            z = np.linalg.solve(shifted, y)
-            z /= np.sqrt(z @ z)
-            estimate = float(abs(z[-1] / (z @ row_sums)) * residual)
-    except np.linalg.LinAlgError:
-        return None
+    with np.errstate(all="ignore"):
+        y = inverse @ x
+        y /= np.sqrt(y @ y)
+        z = inverse @ y
+        z /= np.sqrt(z @ z)
+        estimate = float(abs(z[-1] / (z @ row_sums)) * residual)
     if not np.isfinite(z).all():
         return None
     x[:] = z
@@ -382,12 +420,15 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     shift 1 converge to the stationary vector, and its image is
     nonnegative, so the row-sum scaling is its 1-norm.  On a 6 x 10-state
     NCD chain ``geev`` then runs 1 to 4 times per run, not at about 39
-    checked sizes.  The estimate reads the builder's step matrix, the
-    residual norm and one sum of ``|residual_direction|`` per checked size,
-    and each basis row is summed once per run;
-    a skipped size takes no snapshot and no j x n product.  The result
-    carries its stationary vector and criterion, and its arrays are
-    read-only views of the builder's storage.
+    checked sizes.  The estimate reads ``W = (H^T - I)^-1``, which
+    ``_border`` grows by one row and column at every size, checked or not,
+    in O(j^2); a zero or non-finite Schur complement there ends the
+    estimates, and every later checked size runs ``geev``.  It also reads
+    the residual norm and one sum of ``|residual_direction|`` per checked
+    size, and each basis row is summed once per run; a skipped size takes
+    no snapshot and no j x n product.  The result carries its stationary
+    vector and criterion, and its arrays are read-only views of the
+    builder's storage.
 
     A truncated step matrix can transiently have a complex leading
     eigenpair mid-growth; such sizes simply cannot stop the iteration.
@@ -398,6 +439,8 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     if not 0.0 < epsilon < np.inf:
         raise InputError(f"epsilon must be positive and finite, got {epsilon!r}")
     builder = ArnoldiBuilder(p_mat, p0, max_size, method=method)
+    # (H^T - I)^-1, bordered at every size; None once a border broke down.
+    inverse = np.empty((min(max_size, _FIRST_CAPACITY),) * 2)
     warm = np.zeros(max_size)  # inverse-iteration warm start, zero-padded
     warm[0] = 1.0
     row_sums = np.empty(max_size)  # basis row sums, filled up to ``summed``
@@ -405,13 +448,15 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     while True:
         builder.expand()
         j = builder.size
+        if not builder.done and inverse is not None:
+            inverse = _border(inverse, builder.hessenberg, max_size)
         if j % step_size and not builder.done:
             continue
-        if not builder.done:
+        if not builder.done and inverse is not None:
             row_sums[summed:j] = builder.basis[summed:].sum(axis=1)
             summed = j
             residual = builder.residual_norm * np.abs(builder.residual_direction).sum()
-            estimate = _estimated_criterion(builder.hessenberg, residual,
+            estimate = _estimated_criterion(inverse[:j, :j], residual,
                                             warm[:j], row_sums[:j])
             # A size whose estimate is above the margin cannot stop the loop.
             if estimate is not None and estimate > _GEEV_MARGIN * epsilon:

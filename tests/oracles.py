@@ -14,8 +14,9 @@ stationary extraction before LAPACK's real/complex verdict decided alone,
 off the Arnoldi relation, ``trace_by_padded_rows``, its error trace before
 it weighed a Krylov aggregation's defect by one number, and
 ``conditional_by_five_rules``, its conditional normalization rules before
-two proven conditions replaced them; each is kept as the reference for the
-change that replaced it.
+two proven conditions replaced them, and ``estimate_by_solve``, its
+criterion estimate before ``(H^T - I)^-1`` was grown by bordering; each is
+kept as the reference for the change that replaced it.
 ``orthonormalize_rows`` is a test harness, not a reference: it runs the
 library's ``orthogonalize_step`` over a sequence of vectors.  Matrix
 validation is checked against ``dense_validation_verdict``, plain loops
@@ -188,6 +189,31 @@ def dynamic_geev_every_size(p_mat, p0, max_size, epsilon, step_size=1, method=CG
             crit = float(np.abs(agg.stationary) @ padded_defect_rows(p_mat, agg))
             if crit <= epsilon or builder.done:
                 return replace(agg, criterion=crit)
+
+
+def estimate_by_solve(hessenberg, residual, x, row_sums):
+    """``_estimated_criterion`` with two LU solves on ``H^T - I`` per size.
+
+    The pipeline took its two inverse-iteration steps this way before it
+    grew ``(H^T - I)^-1`` by bordering.  Same contract: a finite iterate
+    overwrites ``x``; None when a solve fails, the iterate is not finite or
+    ``|x_j|`` moved by more than half over the second step.
+    """
+    shifted = hessenberg.T - np.eye(hessenberg.shape[0])
+    try:
+        with np.errstate(all="ignore"):
+            y = np.linalg.solve(shifted, x)
+            y /= np.sqrt(y @ y)
+            z = np.linalg.solve(shifted, y)
+            z /= np.sqrt(z @ z)
+            estimate = float(abs(z[-1] / (z @ row_sums)) * residual)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(z).all():
+        return None
+    x[:] = z
+    settled = abs(abs(z[-1]) - abs(y[-1])) <= 0.5 * abs(y[-1])
+    return estimate if settled and np.isfinite(estimate) else None
 
 
 def defect_rows_by_gemm(p_mat, agg) -> np.ndarray:

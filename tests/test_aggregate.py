@@ -13,6 +13,7 @@ from arnagg.aggregate import (
     NEVER,
     ErrorTrace,
     NormalizationPolicy,
+    _border,
     _error_traces,
     _estimated_criterion,
     _should_normalize,
@@ -58,6 +59,7 @@ from oracles import (
     conditional_by_five_rules,
     defect_rows_by_gemm,
     dynamic_geev_every_size,
+    estimate_by_solve,
     padded_defect_rows,
     power_iteration_stationary,
     trace_by_padded_rows,
@@ -866,6 +868,17 @@ def estimate_pool():
     return pool
 
 
+def bordered_inverse(hessenberg):
+    """``(H^T - I)^-1`` grown by ``_border`` one size at a time; None on breakdown."""
+    h = np.asarray(hessenberg, dtype=float)
+    inverse = np.empty((len(h), len(h)))
+    for j in range(1, len(h) + 1):
+        inverse = _border(inverse, h[:j, :j], len(h))
+        if inverse is None:
+            return None
+    return inverse
+
+
 def dynamic_outcome(run, *args, **kwargs):
     try:
         agg = run(*args, **kwargs)
@@ -936,12 +949,13 @@ class TestCriterionEstimate:
         assert agg.size >= 30
         assert calls == [agg.size]
 
-    def test_failed_solves_fall_back_to_geev_everywhere(self, monkeypatch):
+    def test_border_breakdown_falls_back_to_geev_everywhere(self, monkeypatch):
         p = random_ncd(6, 10, 1e-4, seed=[7, 1])
         p0 = Distribution.random(p.n, seed=[8, 1])
         want = dynamic_geev_every_size(p, p0, p.n, 1e-8, step_size=2)
         calls = self.count_geev(monkeypatch)
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.inf))
+        # The border breaks down at size 1, so no size gets an estimate.
+        monkeypatch.setattr("arnagg.aggregate._border", lambda inverse, h, max_size: None)
         got = pipeline_dynamic(p, p0, p.n, 1e-8, step_size=2)
         assert calls == list(range(2, want.size + 1, 2))
         assert np.array_equal(got.stationary, want.stationary)
@@ -955,19 +969,18 @@ class TestCriterionEstimate:
                                     deflated=False)
 
     @pytest.mark.parametrize("hessenberg", [
-        [[1.0, 0.0], [0.0, 0.5]],                        # H^T - I exactly singular
-        [[1.0 + 2.0 ** -52, 0.0], [1e300, 1.0 + 2.0 ** -52]],  # the solve overflows
+        [[1.0, 0.0], [0.0, 0.5]],                        # Schur complement 0 at size 1
+        [[1.0 + 2.0 ** -52, 0.0], [1e300, 1.0 + 2.0 ** -52]],  # W u overflows at size 2
     ], ids=["singular", "overflow"])
     def test_near_singular_shift_gives_no_estimate(self, hessenberg):
-        # RuntimeWarning is an error in this suite, so this also checks silence.
-        warm = np.array([0.6, 0.8])
-        assert _estimated_criterion(np.array(hessenberg), 1.0, warm, np.ones(2)) is None
-        assert np.array_equal(warm, [0.6, 0.8])
+        # The border breaks down, which ends the run's estimates.  RuntimeWarning
+        # is an error in this suite, so this also checks silence.
+        assert bordered_inverse(hessenberg) is None
 
     def test_unsettled_iteration_gives_no_estimate(self):
         # Left eigenvalues 0.99 and 0.97: |x_2| shrinks threefold a step.
         warm = np.array([1.0, 0.1])
-        assert _estimated_criterion(np.array([[0.99, 0.0], [0.0, 0.97]]), 1.0, warm,
+        assert _estimated_criterion(bordered_inverse([[0.99, 0.0], [0.0, 0.97]]), 1.0, warm,
                                     np.ones(2)) is None
         assert warm[1] == pytest.approx(0.1 / 9, rel=1e-2)
 
@@ -976,7 +989,7 @@ class TestCriterionEstimate:
         fact = self.factorization([[0.9, 0.1], [0.2, 0.7]])
         agg = aggregated_stationary(build_aggregation(fact, [1.0, 0.0]))
         warm = np.array([1.0, 0.0])
-        estimate = _estimated_criterion(fact.hessenberg, agg.residual, warm,
+        estimate = _estimated_criterion(bordered_inverse(fact.hessenberg), agg.residual, warm,
                                         fact.basis.sum(axis=1))
         assert abs(warm @ agg.stationary) / np.linalg.norm(agg.stationary) > 0.999
         iterate = np.abs(warm / np.abs(warm).sum())
@@ -988,8 +1001,101 @@ class TestCriterionEstimate:
         fact = ArnoldiFactorization(basis=None, hessenberg=np.array([[0.9, 0.1], [0.2, 0.7]]),
                                     residual_norm=0.5, residual_direction=np.ones(2),
                                     deflated=False)
-        estimate = _estimated_criterion(fact.hessenberg, 1.0, np.array([1.0, 0.0]), np.ones(2))
+        estimate = _estimated_criterion(bordered_inverse(fact.hessenberg), 1.0,
+                                        np.array([1.0, 0.0]), np.ones(2))
         assert estimate == pytest.approx(0.2667, abs=1e-4)
+
+    def test_bordered_estimate_matches_the_solves(self):
+        # Both estimates start from e_1 at every size before the stop size.  Each
+        # iterate's direction errs by O(kappa u), kappa the largest condition number
+        # of H_i^T - I over i <= j (see the next test), so the two unit iterates
+        # differ by at most kappa u (measured: 0.057 kappa u here, 0.061 kappa u over
+        # all six variants run to full size).  The estimate is |z_j| / |z @ row_sums|
+        # times the residual, so to first order it moves relatively by at most
+        # ||dz|| (1 / |z_j| + ||row_sums|| / |z @ row_sums|).  The largest relative
+        # difference here is 2.4e-10, 3.1% of that bound.
+        u = np.finfo(float).eps
+        compared = 0
+        for p, p0, eps in estimate_pool():
+            stop = pipeline_dynamic(p, p0, p.n, eps).size
+            builder = ArnoldiBuilder(p, p0, stop)
+            inverse = np.empty((stop, stop))
+            kappa = 0.0
+            builder.expand()
+            while not builder.done:
+                j = builder.size
+                inverse = _border(inverse, builder.hessenberg, stop)
+                kappa = max(kappa, np.linalg.cond(builder.hessenberg.T - np.eye(j)))
+                row_sums = builder.basis.sum(axis=1)
+                residual = builder.residual_norm * np.abs(builder.residual_direction).sum()
+                x = np.eye(j)[0]
+                z = x.copy()
+                got = _estimated_criterion(inverse[:j, :j], residual, x, row_sums)
+                want = estimate_by_solve(builder.hessenberg, residual, z, row_sums)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert np.linalg.norm(x - z) <= kappa * u
+                    slack = 1 / abs(z[-1]) + np.linalg.norm(row_sums) / abs(z @ row_sums)
+                    assert abs(got - want) <= kappa * u * slack * want
+                    compared += 1
+                builder.expand()
+        assert compared >= 200
+
+    @pytest.mark.parametrize("step_size", [1, 3])
+    def test_border_matches_the_inverse_at_every_size(self, monkeypatch, step_size):
+        # Bordering is elimination without pivoting, so W carries the rounding of
+        # every leading block: kappa is the largest 2-norm condition number of
+        # H_i^T - I over i <= j.  With kappa of H_j^T - I alone, the first
+        # coupling-1e-3 chain of the pool reads 39 kappa u at size 12.  c = 4; the
+        # measured maximum is 0.17 here, 1.47 over all six variants run to full size.
+        u = np.finfo(float).eps
+        sizes, kappa = [], [0.0]
+
+        def checked(inverse, hessenberg, max_size):
+            inverse = border(inverse, hessenberg, max_size)
+            j = len(hessenberg)
+            shifted = hessenberg.T - np.eye(j)
+            if j == 1:  # a new run
+                kappa[0] = 0.0
+            kappa[0] = max(kappa[0], np.linalg.cond(shifted))
+            want = np.linalg.inv(shifted)
+            assert np.abs(inverse[:j, :j] - want).max() <= 4 * kappa[0] * u * np.abs(want).max()
+            sizes.append(j)
+            return inverse
+
+        border = _border
+        monkeypatch.setattr("arnagg.aggregate._border", checked)
+        for p, p0, eps in estimate_pool():
+            sizes.clear()
+            agg = pipeline_dynamic(p, p0, p.n, eps, step_size=step_size)
+            # Every size but a deflated or full last one is bordered, skipped or not.
+            assert sizes == list(range(1, len(sizes) + 1))
+            assert len(sizes) >= agg.size - 1
+
+    def test_border_grows_past_the_first_capacity(self, monkeypatch):
+        # A lazy cycle from a point gains one state per Krylov step, so at epsilon
+        # 1e-300 the run reaches size 300, past the 256 sizes W holds at first.
+        n = 300
+        p = StochasticMatrix(0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1))
+        p0 = Distribution.point(n, 0)
+        want = dynamic_geev_every_size(p, p0, n, 1e-300)
+        storage = []
+
+        def recorded(inverse, hessenberg, max_size):
+            inverse = border(inverse, hessenberg, max_size)
+            storage.append(len(inverse))
+            return inverse
+
+        border = _border
+        monkeypatch.setattr("arnagg.aggregate._border", recorded)
+        calls = self.count_geev(monkeypatch)
+        got = pipeline_dynamic(p, p0, n, 1e-300)
+        assert got.size == want.size == n
+        assert got.stationary.tobytes() == want.stationary.tobytes()
+        assert got.criterion == want.criterion
+        assert storage[0] == 256 and set(storage) == {256, n}
+        # Every size past 256 got an estimate, so geev ran at the last size alone.
+        assert calls == [n]
 
 
 class TestPipelineDynamic:

@@ -5,6 +5,7 @@ import pytest
 
 from arnagg import orthonorm
 from arnagg.errors import DimensionMismatch, EmptyInput, InputError
+from arnagg.models import random_chain
 from arnagg.orthonorm import (
     CGS,
     CGS2,
@@ -119,6 +120,21 @@ class TestOrthogonalizeStep:
         assert (passes_at(0.70), passes_at(0.72)) == (2, 1)
         monkeypatch.setattr(orthonorm, "KAPPA", 0.5)
         assert (passes_at(0.70), passes_at(0.45)) == (1, 2)
+
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.variant)
+    def test_norms_are_numpys_bit_for_bit(self, method, sparse):
+        p = random_chain(40, 0.2, seed=[3, 1], sparse=sparse)
+        q = np.zeros((13, p.n))
+        q[0] = np.full(p.n, 1.0 / math.sqrt(p.n))
+        for j in range(1, 13):
+            w = p.vec_mul(q[j - 1])
+            before = float(np.linalg.norm(w))
+            _, r_norm, v_norm = orthonorm._orthogonalize(w, q[:j], method)
+            assert v_norm == before
+            assert r_norm == float(np.linalg.norm(w))
+            q[j] = w / r_norm
 
 
 class TestOrthonormalizeAll:
