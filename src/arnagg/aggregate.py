@@ -21,13 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arnoldi import (
-    _FIRST_CAPACITY,
-    Aggregation,
-    ArnoldiBuilder,
-    arnoldi_iterate,
-    build_aggregation,
-)
+from .arnoldi import Aggregation, ArnoldiBuilder, arnoldi_iterate, build_aggregation
 from .errors import (
     ComplexStationary,
     DimensionMismatch,
@@ -329,14 +323,13 @@ def pipeline_schur(p_mat: StochasticMatrix, p0, size: int,
     return aggregated_stationary(pipeline_naive(p_mat, p0, size, method=method))
 
 
-def _border(inverse: np.ndarray, hessenberg: np.ndarray, max_size: int) -> np.ndarray | None:
+def _border(inverse: np.ndarray, hessenberg: np.ndarray) -> np.ndarray | None:
     """Grow ``W = (H^T - I)^-1`` by the last row and column of the j x j ``hessenberg``.
 
-    ``inverse[:j-1, :j-1]`` holds W of the leading (j-1) x (j-1) block; the
-    result's ``[:j, :j]`` holds W of all of it.  The result is ``inverse``,
-    or, when j overruns it, a copy with twice the storage, up to
-    ``max_size``.  In the row convention the new column of ``H^T - I`` is
-    the step-coefficient row ``u = H[j-1, :j-1]``, and its new row has one
+    ``inverse`` holds W of the leading (j-1) x (j-1) block, a 0 x 0 array
+    at j = 1; the result is a new j x j array holding W of all of it.  In
+    the row convention the new column of ``H^T - I`` is the
+    step-coefficient row ``u = H[j-1, :j-1]``, and its new row has one
     off-diagonal entry, ``c = H[j-2, j-1]``.  So the bordered inverse
     (Golub & Van Loan, Matrix Computations, on bordered systems) needs the
     Schur complement ``s = H[j-1, j-1] - 1 - c (Wu)[j-2]``, one matvec and
@@ -345,28 +338,23 @@ def _border(inverse: np.ndarray, hessenberg: np.ndarray, max_size: int) -> np.nd
     O(j^2).  None when ``s`` is zero or not finite.
     """
     j = hessenberg.shape[0]
-    if j > len(inverse):
-        grown = np.empty((min(2 * len(inverse), max_size),) * 2)
-        grown[:j - 1, :j - 1] = inverse
-        inverse = grown
-    w = inverse[:j - 1, :j - 1]
+    grown = np.empty((j, j))
     with np.errstate(all="ignore"):
         if j == 1:
             s = hessenberg[0, 0] - 1.0
         else:
-            wu = w @ hessenberg[j - 1, :j - 1]
+            wu = inverse @ hessenberg[j - 1, :j - 1]
             c = hessenberg[j - 2, j - 1]
-            cw = c * w[j - 2]
             s = (hessenberg[j - 1, j - 1] - 1.0) - c * wu[j - 2]
         if s == 0.0 or not np.isfinite(s):
             return None
         if j > 1:
-            row = cw / s
-            w += np.outer(wu, row)
-            inverse[j - 1, :j - 1] = -row
-            inverse[:j - 1, j - 1] = wu / -s
-        inverse[j - 1, j - 1] = 1.0 / s
-    return inverse
+            row = c * inverse[j - 2] / s
+            np.add(inverse, np.outer(wu, row), out=grown[:j - 1, :j - 1])
+            grown[j - 1, :j - 1] = -row
+            grown[:j - 1, j - 1] = wu / -s
+        grown[j - 1, j - 1] = 1.0 / s
+    return grown
 
 
 def _estimated_criterion(inverse: np.ndarray, residual: float, x: np.ndarray,
@@ -426,9 +414,10 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
     estimates, and every later checked size runs ``geev``.  It also reads
     the residual norm and one sum of ``|residual_direction|`` per checked
     size, and each basis row is summed once per run; a skipped size takes
-    no snapshot and no j x n product.  The result carries its stationary
-    vector and criterion, and its arrays are read-only views of the
-    builder's storage.
+    no snapshot and no j x n product.  W, the warm start and the row sums
+    are as long as the size reached, so ``max_size`` is only the builder's
+    cap.  The result carries its stationary vector and criterion, and its
+    arrays are read-only views of the builder's storage.
 
     A truncated step matrix can transiently have a complex leading
     eigenpair mid-growth; such sizes simply cannot stop the iteration.
@@ -440,27 +429,25 @@ def pipeline_dynamic(p_mat: StochasticMatrix, p0, max_size: int, epsilon: float,
         raise InputError(f"epsilon must be positive and finite, got {epsilon!r}")
     builder = ArnoldiBuilder(p_mat, p0, max_size, method=method)
     # (H^T - I)^-1, bordered at every size; None once a border broke down.
-    inverse = np.empty((min(max_size, _FIRST_CAPACITY),) * 2)
-    warm = np.zeros(max_size)  # inverse-iteration warm start, zero-padded
-    warm[0] = 1.0
-    row_sums = np.empty(max_size)  # basis row sums, filled up to ``summed``
-    summed = 0
+    inverse = np.empty((0, 0))
+    warm = np.ones(1)  # inverse-iteration warm start, zero-padded at each checked size
+    row_sums = np.empty(0)  # basis row sums, one per row summed so far
     while True:
         builder.expand()
         j = builder.size
-        if not builder.done and inverse is not None:
-            inverse = _border(inverse, builder.hessenberg, max_size)
-        if j % step_size and not builder.done:
-            continue
-        if not builder.done and inverse is not None:
-            row_sums[summed:j] = builder.basis[summed:].sum(axis=1)
-            summed = j
-            residual = builder.residual_norm * np.abs(builder.residual_direction).sum()
-            estimate = _estimated_criterion(inverse[:j, :j], residual,
-                                            warm[:j], row_sums[:j])
-            # A size whose estimate is above the margin cannot stop the loop.
-            if estimate is not None and estimate > _GEEV_MARGIN * epsilon:
+        if not builder.done:
+            if inverse is not None:
+                inverse = _border(inverse, builder.hessenberg)
+            if j % step_size:
                 continue
+            if inverse is not None:
+                row_sums = np.append(row_sums, builder.basis[len(row_sums):].sum(axis=1))
+                warm = np.append(warm, np.zeros(j - len(warm)))
+                residual = builder.residual_norm * np.abs(builder.residual_direction).sum()
+                estimate = _estimated_criterion(inverse, residual, warm, row_sums)
+                # A size whose estimate is above the margin cannot stop the loop.
+                if estimate is not None and estimate > _GEEV_MARGIN * epsilon:
+                    continue
         fact = builder.snapshot()
         try:
             agg = aggregated_stationary(build_aggregation(fact, p0))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ZeroInitialVector
+from .errors import DimensionMismatch, InputError, ShapeError, ZeroInitialVector
 from .mchain import StochasticMatrix, _integer, _start_vector, as_vector, inf_norm
 # ``orthogonalize_step`` stays importable from this module, where callers
 # have looked it up; ``expand`` calls the helper behind it.
@@ -67,7 +67,10 @@ class Aggregation:
     copy with another step matrix or disaggregation must reset it to None.
     ``build_aggregation`` aliases the factorization's arrays, so on a
     snapshot ``step_matrix`` and ``disaggregation`` are read-only views of
-    the builder's storage.
+    the builder's storage.  Construction checks shapes, in O(1), and no
+    entry: a step matrix that is not square j x j with j >= 1 raises
+    ShapeError, and a disaggregation that is not 2-D with j rows, or an
+    ``initial`` or ``stationary`` not of length j, raises DimensionMismatch.
     """
 
     step_matrix: np.ndarray
@@ -76,6 +79,16 @@ class Aggregation:
     stationary: np.ndarray | None = None
     criterion: float | None = None
     residual: float | None = None
+
+    def __post_init__(self):
+        shape = np.shape(self.step_matrix)
+        if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+            raise ShapeError(f"step matrix must be square and nonempty, got shape {shape}")
+        j = shape[0]
+        for name, ndim in (("disaggregation", 2), ("initial", 1), ("stationary", 1)):
+            part = getattr(self, name)
+            if part is not None and (np.ndim(part) != ndim or len(part) != j):
+                raise DimensionMismatch(f"{name} of shape {np.shape(part)} against size {j}")
 
     @property
     def size(self) -> int:

@@ -12,7 +12,8 @@ needs no chain by the type of its flag: numbers and their ranges, the ``--ks``
 and ``--sizes`` lists, the ``--p0`` grammar (a ``file:`` start is read there,
 once), and the directory of ``--out``.  Then, still before any chain, a command
 checks the rules that join flags (``--samples`` above 1 needs ``--p0 random``;
-``--pipeline dynamic`` needs ``--epsilon``; ``bench`` takes ``--n`` and
+``--pipeline dynamic`` needs ``--epsilon``, and ``--epsilon`` and
+``--step-size`` need ``--pipeline dynamic``; ``bench`` takes ``--n`` and
 ``--density`` only without a chain source) and ARNAGG_THREADS.  Each such
 error names its flag and exits 2.  Only checks that need the chain run after it
 loads: a size above n, a ``point:`` index >= n and a start vector of the wrong
@@ -284,12 +285,15 @@ def _cmd_uniformize(args) -> int:
 def _cmd_aggregate(args) -> int:
     if args.pipeline == "dynamic" and args.epsilon is None:
         raise InputError("--pipeline dynamic needs --epsilon")
+    for flag, value in (("--epsilon", args.epsilon), ("--step-size", args.step_size)):
+        if value is not None and args.pipeline != "dynamic":
+            raise InputError(f"{flag} needs --pipeline dynamic")
     chain = _load_chain(args)
     p0 = _start(args.p0, chain.n, args.seed)
     method = parse_method(args.method)
     if args.pipeline == "dynamic":
         agg = pipeline_dynamic(chain, p0, args.size, args.epsilon,
-                               step_size=args.step_size, method=method)
+                               step_size=args.step_size or 1, method=method)
     elif args.pipeline == "schur":
         agg = pipeline_schur(chain, p0, args.size, method=method)
     else:
@@ -479,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="aggregation size (max size for the dynamic pipeline)")
     agg.add_argument("--pipeline", default="schur", choices=("naive", "schur", "dynamic"))
     agg.add_argument("--epsilon", type=_positive("--epsilon"), default=None)
-    agg.add_argument("--step-size", type=_int("--step-size", 1), default=1, dest="step_size")
+    agg.add_argument("--step-size", type=_int("--step-size", 1), default=None, dest="step_size")
     agg.add_argument("--out", type=_out, required=True, help="output prefix")
     agg.set_defaults(func=_cmd_aggregate)
 

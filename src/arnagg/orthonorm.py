@@ -103,22 +103,16 @@ def _orthogonalize(r: np.ndarray, q: np.ndarray, method: OrthMethod):
 
     Returns ``(coefficients, residual_norm, input_norm)``: the summed
     coefficients of at most two passes and the 2-norms of ``r`` after and
-    before.  Each norm is taken once, as ``sqrt(r.dot(r))``: the value
-    ``np.linalg.norm`` gives a 1-D float vector, without its wrapper.
+    before.  Each norm is taken as ``sqrt(r.dot(r))``, the value
+    ``np.linalg.norm`` gives a 1-D float vector, without its wrapper; the
+    residual norm is taken after each pass that runs.
     """
     one_pass = _pass_classical if method.classical else _pass_modified
     v_norm = math.sqrt(r.dot(r))
     h = one_pass(r, q)
-    r_norm = None
-    if q.shape[0]:
-        second = method.always_twice
-        if method.selective:
-            r_norm = math.sqrt(r.dot(r))
-            second = r_norm < KAPPA * v_norm
-        if second:
-            h = h + one_pass(r, q)
-            r_norm = None
-    if r_norm is None:
+    r_norm = math.sqrt(r.dot(r))
+    if q.shape[0] and (method.always_twice or method.selective and r_norm < KAPPA * v_norm):
+        h = h + one_pass(r, q)
         r_norm = math.sqrt(r.dot(r))
     return h, r_norm, v_norm
 

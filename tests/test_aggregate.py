@@ -871,9 +871,9 @@ def estimate_pool():
 def bordered_inverse(hessenberg):
     """``(H^T - I)^-1`` grown by ``_border`` one size at a time; None on breakdown."""
     h = np.asarray(hessenberg, dtype=float)
-    inverse = np.empty((len(h), len(h)))
+    inverse = np.empty((0, 0))
     for j in range(1, len(h) + 1):
-        inverse = _border(inverse, h[:j, :j], len(h))
+        inverse = _border(inverse, h[:j, :j])
         if inverse is None:
             return None
     return inverse
@@ -955,7 +955,7 @@ class TestCriterionEstimate:
         want = dynamic_geev_every_size(p, p0, p.n, 1e-8, step_size=2)
         calls = self.count_geev(monkeypatch)
         # The border breaks down at size 1, so no size gets an estimate.
-        monkeypatch.setattr("arnagg.aggregate._border", lambda inverse, h, max_size: None)
+        monkeypatch.setattr("arnagg.aggregate._border", lambda inverse, h: None)
         got = pipeline_dynamic(p, p0, p.n, 1e-8, step_size=2)
         assert calls == list(range(2, want.size + 1, 2))
         assert np.array_equal(got.stationary, want.stationary)
@@ -1019,18 +1019,18 @@ class TestCriterionEstimate:
         for p, p0, eps in estimate_pool():
             stop = pipeline_dynamic(p, p0, p.n, eps).size
             builder = ArnoldiBuilder(p, p0, stop)
-            inverse = np.empty((stop, stop))
+            inverse = np.empty((0, 0))
             kappa = 0.0
             builder.expand()
             while not builder.done:
                 j = builder.size
-                inverse = _border(inverse, builder.hessenberg, stop)
+                inverse = _border(inverse, builder.hessenberg)
                 kappa = max(kappa, np.linalg.cond(builder.hessenberg.T - np.eye(j)))
                 row_sums = builder.basis.sum(axis=1)
                 residual = builder.residual_norm * np.abs(builder.residual_direction).sum()
                 x = np.eye(j)[0]
                 z = x.copy()
-                got = _estimated_criterion(inverse[:j, :j], residual, x, row_sums)
+                got = _estimated_criterion(inverse, residual, x, row_sums)
                 want = estimate_by_solve(builder.hessenberg, residual, z, row_sums)
                 assert (got is None) == (want is None)
                 if want is not None:
@@ -1040,6 +1040,24 @@ class TestCriterionEstimate:
                     compared += 1
                 builder.expand()
         assert compared >= 200
+
+    def test_warm_start_is_the_last_iterate_padded_with_zeros(self, monkeypatch):
+        starts, iterates = [], []
+
+        def recorded(inverse, residual, x, row_sums):
+            starts.append(x.copy())
+            estimate = estimated(inverse, residual, x, row_sums)
+            iterates.append(x.copy())
+            return estimate
+
+        estimated = _estimated_criterion
+        monkeypatch.setattr("arnagg.aggregate._estimated_criterion", recorded)
+        p = random_ncd(6, 10, 1e-3, seed=[7, 0])
+        pipeline_dynamic(p, Distribution.random(p.n, seed=[8, 0]), p.n, 1e-8, step_size=3)
+        assert len(starts) >= 10
+        assert np.array_equal(starts[0], [1.0, 0.0, 0.0])
+        for start, last in zip(starts[1:], iterates):
+            assert np.array_equal(start, np.concatenate([last, np.zeros(len(start) - len(last))]))
 
     @pytest.mark.parametrize("step_size", [1, 3])
     def test_border_matches_the_inverse_at_every_size(self, monkeypatch, step_size):
@@ -1051,15 +1069,16 @@ class TestCriterionEstimate:
         u = np.finfo(float).eps
         sizes, kappa = [], [0.0]
 
-        def checked(inverse, hessenberg, max_size):
-            inverse = border(inverse, hessenberg, max_size)
+        def checked(inverse, hessenberg):
+            inverse = border(inverse, hessenberg)
             j = len(hessenberg)
             shifted = hessenberg.T - np.eye(j)
             if j == 1:  # a new run
                 kappa[0] = 0.0
             kappa[0] = max(kappa[0], np.linalg.cond(shifted))
             want = np.linalg.inv(shifted)
-            assert np.abs(inverse[:j, :j] - want).max() <= 4 * kappa[0] * u * np.abs(want).max()
+            assert inverse.shape == (j, j)
+            assert np.abs(inverse - want).max() <= 4 * kappa[0] * u * np.abs(want).max()
             sizes.append(j)
             return inverse
 
@@ -1072,18 +1091,18 @@ class TestCriterionEstimate:
             assert sizes == list(range(1, len(sizes) + 1))
             assert len(sizes) >= agg.size - 1
 
-    def test_border_grows_past_the_first_capacity(self, monkeypatch):
+    def test_border_is_j_by_j_past_the_builders_first_capacity(self, monkeypatch):
         # A lazy cycle from a point gains one state per Krylov step, so at epsilon
-        # 1e-300 the run reaches size 300, past the 256 sizes W holds at first.
+        # 1e-300 the run reaches size 300, past the 256 steps the builder holds at first.
         n = 300
         p = StochasticMatrix(0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1))
         p0 = Distribution.point(n, 0)
         want = dynamic_geev_every_size(p, p0, n, 1e-300)
-        storage = []
+        shapes = []
 
-        def recorded(inverse, hessenberg, max_size):
-            inverse = border(inverse, hessenberg, max_size)
-            storage.append(len(inverse))
+        def recorded(inverse, hessenberg):
+            inverse = border(inverse, hessenberg)
+            shapes.append(inverse.shape)
             return inverse
 
         border = _border
@@ -1093,8 +1112,8 @@ class TestCriterionEstimate:
         assert got.size == want.size == n
         assert got.stationary.tobytes() == want.stationary.tobytes()
         assert got.criterion == want.criterion
-        assert storage[0] == 256 and set(storage) == {256, n}
-        # Every size past 256 got an estimate, so geev ran at the last size alone.
+        assert shapes == [(j, j) for j in range(1, n)]
+        # Every size before the last got an estimate, so geev ran at the last size alone.
         assert calls == [n]
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ import scipy.sparse as sp
 from arnagg import arnoldi
 from arnagg.aggregate import pipeline_dynamic, pipeline_naive, pipeline_schur
 from arnagg.arnoldi import (
+    Aggregation,
     ArnoldiBuilder,
     arnoldi_iterate,
     build_aggregation,
     relation_residual,
 )
-from arnagg.errors import DimensionMismatch, InputError, ZeroInitialVector
+from arnagg.errors import DimensionMismatch, InputError, ShapeError, ZeroInitialVector
 from arnagg.mchain import Distribution, StochasticMatrix, inf_norm
 from arnagg.models import counterexample, random_chain
 from arnagg.orthonorm import CGS2, CGSIR, MGS2, MGSIR, VARIANTS, OrthMethod
@@ -292,6 +294,33 @@ class TestBuildAggregation:
             p0 = Distribution.random(n, seed=int(rng.integers(2**63)))
             agg = build_aggregation(arnoldi_iterate(p, p0, min(5, n)), p0)
             assert np.abs(agg.initial @ agg.disaggregation - p0.values).max() <= 1e-13
+
+
+class TestAggregationShapes:
+    """A hand-built aggregation whose parts disagree in shape is rejected as input
+    (exit 2) when built, not later as a numpy error or as ``NoConvergence``."""
+
+    @pytest.mark.parametrize("parts, error", [
+        (dict(step_matrix=np.ones((2, 3))), ShapeError),
+        (dict(step_matrix=np.ones(2)), ShapeError),
+        (dict(step_matrix=np.empty((0, 0)), disaggregation=np.empty((0, 4)),
+              initial=np.empty(0), stationary=None), ShapeError),
+        (dict(disaggregation=np.ones((3, 4))), DimensionMismatch),
+        (dict(disaggregation=np.ones(4)), DimensionMismatch),
+        (dict(initial=np.ones(3)), DimensionMismatch),
+        (dict(initial=np.ones((2, 1))), DimensionMismatch),
+        (dict(stationary=np.ones(1)), DimensionMismatch),
+    ], ids=["step_matrix_not_square", "step_matrix_1d", "step_matrix_empty",
+            "disaggregation_rows", "disaggregation_1d", "initial_length", "initial_2d",
+            "stationary_length"])
+    def test_mismatched_part_is_input_error(self, parts, error):
+        good = dict(step_matrix=np.eye(2), disaggregation=np.full((2, 4), 0.5),
+                    initial=np.array([1.0, 0.0]), stationary=np.array([0.5, 0.5]))
+        Aggregation(**good)
+        with pytest.raises(error):
+            Aggregation(**{**good, **parts})
+        with pytest.raises(error):
+            replace(Aggregation(**good), **parts)
 
 
 class TestAggregationProperties:

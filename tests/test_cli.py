@@ -137,6 +137,10 @@ class TestFlagsAreCheckedBeforeTheChain:
          "--epsilon must be a number, got 'abc'"),
         (["aggregate", *INPUT, "--size", 5, "--pipeline", "dynamic", "--epsilon", 1e-8,
           "--step-size", 0], "--step-size must be >= 1, got 0"),
+        (["aggregate", *INPUT, "--size", 5, "--epsilon", 1e-8],
+         "--epsilon needs --pipeline dynamic"),
+        (["aggregate", *INPUT, "--size", 5, "--pipeline", "naive", "--step-size", 3],
+         "--step-size needs --pipeline dynamic"),
         (["aggregate", *INPUT, "--size", 2, "--p0", "bogus"], "--p0: unknown start 'bogus'"),
         (["trace", *INPUT, "--size", 2, "--ks", 1, "--p0", "bogus"],
          "--p0: unknown start 'bogus'"),
@@ -176,6 +180,7 @@ class TestFlagsAreCheckedBeforeTheChain:
     ], ids=["threads_trace", "threads_sweep", "descending_ks_trace", "descending_ks_sweep",
             "descending_sizes_bench", "dynamic_without_epsilon", "epsilon_negative",
             "epsilon_nan", "epsilon_inf", "epsilon_not_a_number", "step_size_0",
+            "epsilon_without_dynamic", "step_size_without_dynamic",
             "p0_aggregate", "p0_trace", "p0_sweep", "p0_bench", "p0_point_index",
             "p0_missing_file", "samples_0", "samples_without_random_p0", "ks_negative",
             "ks_bad_range", "gen_parameter_without_value", "size_0", "sizes_from_0",
